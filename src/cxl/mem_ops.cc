@@ -189,6 +189,17 @@ MemSession::read_bytes(HeapOffset offset, void* out, std::uint64_t len)
         charge(lines * (uncachable ? model_->read_ns : model_->cached_ns));
         charge_edge(offset, lines, len, /*write=*/false);
     }
+    if ((offset | len) % 8 == 0) {
+        // Word-aligned reads use relaxed atomic loads like load<>, so a
+        // bulk read of words other threads store<> to is not a data race.
+        auto* dst = static_cast<std::byte*>(out);
+        for (std::uint64_t i = 0; i < len; i += 8) {
+            std::uint64_t word = atomic_at<std::uint64_t>(offset + i).load(
+                std::memory_order_relaxed);
+            std::memcpy(dst + i, &word, 8);
+        }
+        return;
+    }
     std::memcpy(out, device_->raw(offset), len);
 }
 

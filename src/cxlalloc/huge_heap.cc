@@ -1,5 +1,7 @@
 #include "cxlalloc/huge_heap.h"
 
+#include <vector>
+
 #include "common/assert.h"
 #include "common/cacheline.h"
 #include "pod/process.h"
@@ -345,7 +347,13 @@ HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
         }
     }
     // Pass 2: this thread's freed, unhazarded descriptors — reclaim the
-    // descriptor and its address space.
+    // descriptor and its address space. First collect the candidates.
+    struct Candidate {
+        std::uint32_t index;
+        std::uint64_t start;
+        std::uint64_t size;
+    };
+    std::vector<Candidate> freed;
     cxl::HeapOffset head = layout_->huge_local(mem.tid());
     std::uint32_t raw = mem.load<std::uint32_t>(head);
     std::uint32_t steps = 0;
@@ -359,19 +367,31 @@ HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
             unlink_desc(mem, index);
             ts.free_descs.push_back(index);
         } else if ((flags & HugeDescField::kFlagFree) != 0) {
-            std::uint64_t start = desc_offset(mem, index);
-            std::uint64_t size = desc_size(mem, index);
-            // Hazard-offset rule 3: reclaim only if free and unpublished.
-            if (!hazards_.is_published(mem, start)) {
-                unlink_desc(mem, index);
-                mem.store<std::uint32_t>(desc(index) + HugeDescField::kFlags,
-                                         0);
-                publish_desc(mem, index);
-                ts.huge_free.insert(start, size);
-                ts.free_descs.push_back(index);
-            }
+            freed.push_back({index, desc_offset(mem, index),
+                             desc_size(mem, index)});
         }
         raw = next;
+    }
+    if (freed.empty()) {
+        return;
+    }
+    // Hazard-offset rule 3: reclaim only if free and unpublished. One
+    // snapshot serves every candidate. Each candidate's free bit was
+    // refetched above, before the snapshot starts, and once the free bit
+    // is set resolve() (require_live=true) publishes no new hazard for
+    // that offset. So a hazard absent from a snapshot taken after all
+    // candidates were observed stays absent, and one snapshot is as
+    // strong as one scan per candidate.
+    cxlsync::HazardSnapshot hazards = hazards_.snapshot(mem);
+    for (const Candidate& c : freed) {
+        if (hazards.contains(c.start)) {
+            continue;
+        }
+        unlink_desc(mem, c.index);
+        mem.store<std::uint32_t>(desc(c.index) + HugeDescField::kFlags, 0);
+        publish_desc(mem, c.index);
+        ts.huge_free.insert(c.start, c.size);
+        ts.free_descs.push_back(c.index);
     }
 }
 

@@ -1,6 +1,7 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/assert.h"
 
@@ -90,10 +91,15 @@ MetricsRegistry::intern(std::vector<std::string>& names, std::size_t cap,
         }
     }
     if (names.size() >= cap) {
-        std::fprintf(stderr, "metrics registry: out of %s slots (%zu) "
-                             "registering '%.*s'\n",
-                     kind, cap, static_cast<int>(name.size()), name.data());
-        std::abort();
+        if (dropped_.empty()) {
+            std::fprintf(stderr, "metrics registry: out of %s slots (%zu) "
+                                 "at '%.*s'; counting dropped names in "
+                                 "obs.dropped_metrics\n",
+                         kind, cap, static_cast<int>(name.size()),
+                         name.data());
+        }
+        dropped_.insert(std::string(kind) + ':' + std::string(name));
+        return static_cast<MetricId>(cap);
     }
     names.emplace_back(name);
     return static_cast<MetricId>(names.size() - 1);
@@ -152,8 +158,10 @@ MetricsRegistry::snapshot() const
 {
     // Copy the name tables under the lock, then read shard values relaxed.
     std::vector<std::string> counters, gauges, hists, ops;
+    std::uint64_t dropped = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        dropped = dropped_.size();
         counters = counter_names_;
         gauges = gauge_names_;
         hists = histogram_names_;
@@ -205,6 +213,13 @@ MetricsRegistry::snapshot() const
         ne.dur_ns = e.dur_ns;
         ne.arg = e.arg;
         snap.trace.push_back(std::move(ne));
+    }
+    if (dropped > 0) {
+        // merge() matches by name, so an absorbed registry's own
+        // obs.dropped_metrics counter and this one add up.
+        MetricsSnapshot own;
+        own.counters.emplace_back("obs.dropped_metrics", dropped);
+        snap.merge(own);
     }
     return snap;
 }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,10 +33,15 @@ using MetricId = std::uint32_t;
 inline constexpr MetricId kInvalidMetric = ~MetricId{0};
 
 /// Shard 0 is process-level; 1..kMaxShards-1 mirror pod thread ids.
-/// Capacities cover the pod-topology metrics: per-edge counters (ops + ns
-/// per (host, device) pair, up to 16x16 edges in principle, 16x4 in the
-/// shipped presets) and per-edge latency histograms. Shards are allocated
-/// lazily, so unused capacity costs nothing until a thread id publishes.
+/// Capacities cover the pod-topology metrics of the shipped presets:
+/// per-edge counters (ops + ns per (host, device) pair, 16x4 edges) and
+/// per-edge latency histograms. Shards are allocated lazily, so unused
+/// capacity costs nothing until a thread id publishes.
+///
+/// A full table never aborts: the name is dropped, counted in the
+/// `obs.dropped_metrics` counter, and gets the kind's *discard* id (one
+/// past the last real slot) whose updates land in a sink no snapshot
+/// reads. A dense 16x16 pod's per-edge metrics overflow this way.
 inline constexpr std::uint32_t kMaxShards = 161;
 inline constexpr std::uint32_t kMaxCounters = 320;
 inline constexpr std::uint32_t kMaxGauges = 128;
@@ -62,8 +68,9 @@ class MetricsShard {
   private:
     friend class MetricsRegistry;
 
-    std::array<std::atomic<std::uint64_t>, kMaxCounters> counters_{};
-    std::array<Histogram, kMaxHistograms> histograms_{};
+    // One extra slot each: the discard sink for dropped names.
+    std::array<std::atomic<std::uint64_t>, kMaxCounters + 1> counters_{};
+    std::array<Histogram, kMaxHistograms + 1> histograms_{};
     TraceRing trace_;
 };
 
@@ -103,8 +110,9 @@ class MetricsRegistry {
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    /// Interns @p name (idempotent) and returns its id. Aborts if the
-    /// fixed-capacity table for that metric kind is full.
+    /// Interns @p name (idempotent) and returns its id. If the
+    /// fixed-capacity table for that metric kind is full, the name is
+    /// dropped and the kind's discard id returned (see kMaxCounters).
     MetricId counter(std::string_view name);
     MetricId gauge(std::string_view name);
     MetricId histogram(std::string_view name);
@@ -146,7 +154,10 @@ class MetricsRegistry {
     std::vector<std::string> gauge_names_;
     std::vector<std::string> histogram_names_;
     std::vector<std::string> op_names_;
-    std::array<std::atomic<double>, kMaxGauges> gauge_values_{};
+    /// Distinct "kind:name" pairs refused by a full table; their count
+    /// is `obs.dropped_metrics`.
+    std::set<std::string> dropped_;
+    std::array<std::atomic<double>, kMaxGauges + 1> gauge_values_{};
     std::array<std::atomic<MetricsShard*>, kMaxShards> shards_{};
 };
 

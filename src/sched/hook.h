@@ -43,7 +43,7 @@ enum class Op : std::uint8_t {
     DcasHelp,     ///< displaced owner's success recorded (aux = tid)
     HazardPublish, ///< hazard offset published (aux = offset)
     HazardRemove,  ///< hazard offset cleared (aux = offset)
-    HazardScan,    ///< one slot inspected during a reclamation scan (addr)
+    HazardScan,    ///< one hazard-table line read by a snapshot (addr)
 };
 
 /// One instrumented event. `addr` is a device offset where meaningful;

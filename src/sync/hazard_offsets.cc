@@ -1,6 +1,7 @@
 #include "sync/hazard_offsets.h"
 
 #include "common/assert.h"
+#include "common/cacheline.h"
 #include "common/test_faults.h"
 #include "sched/hook.h"
 
@@ -60,23 +61,29 @@ HazardOffsets::remove_value(cxl::MemSession& mem, cxl::HeapOffset offset)
     return false;
 }
 
-bool
-HazardOffsets::is_published(cxl::MemSession& mem, cxl::HeapOffset offset)
+HazardSnapshot
+HazardOffsets::snapshot(cxl::MemSession& mem) const
 {
-    for (std::uint32_t tid = 0; tid <= cxl::kMaxThreads; tid++) {
-        for (std::uint32_t slot = 0; slot < slots_; slot++) {
-            cxl::HeapOffset at =
-                slot_offset(static_cast<cxl::ThreadId>(tid), slot);
-            sched::hook(sched::Op::HazardScan, at);
-            // Huge-heap SWcc rule: flush before every read so we never act
-            // on a stale cached copy of another thread's hazard slot.
-            mem.flush(at, 8);
-            if (mem.load<std::uint64_t>(at) == offset) {
-                return true;
+    const cxl::HeapOffset end = base_ + footprint(slots_);
+    HazardSnapshot snap;
+    // The first and last lines may be partial: the table need not start
+    // or end on a line boundary (2 slots per row is 40.25 lines).
+    for (cxl::HeapOffset line = cxlcommon::line_of(base_); line < end;
+         line += cxlcommon::kCacheLine) {
+        cxl::HeapOffset from = std::max(line, base_);
+        std::uint64_t len = std::min(line + cxlcommon::kCacheLine, end) - from;
+        std::uint64_t words[cxlcommon::kCacheLine / 8];
+        sched::hook(sched::Op::HazardScan, from);
+        mem.flush(from, len);
+        mem.read_bytes(from, words, len);
+        for (std::uint64_t i = 0; i < len / 8; i++) {
+            if (words[i] != 0) {
+                snap.offsets.push_back(words[i]);
             }
         }
     }
-    return false;
+    std::sort(snap.offsets.begin(), snap.offsets.end());
+    return snap;
 }
 
 } // namespace cxlsync

@@ -15,15 +15,32 @@
 /// Hazard slots live in SWcc memory. They are single-writer (the owning
 /// thread), multi-reader; following the paper's huge-heap rule, writers
 /// flush+fence after every write and readers flush before every read.
+///
+/// Readers take a *snapshot*: one pass over the table that flushes and
+/// reads each 64 B line once, as in the batch scan of [51]. A reclaim
+/// pass takes one snapshot and tests every candidate against it.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "cxl/mem_ops.h"
 #include "cxl/types.h"
 
 namespace cxlsync {
+
+/// Offsets published anywhere in a hazard table at the time it was read.
+struct HazardSnapshot {
+    std::vector<cxl::HeapOffset> offsets; ///< sorted, nonzero
+
+    bool
+    contains(cxl::HeapOffset offset) const
+    {
+        return std::binary_search(offsets.begin(), offsets.end(), offset);
+    }
+};
 
 /// Fixed-size per-thread hazard offset lists over a shared-memory region.
 class HazardOffsets {
@@ -62,8 +79,17 @@ class HazardOffsets {
     /// @p offset; returns false if not found.
     bool remove_value(cxl::MemSession& mem, cxl::HeapOffset offset);
 
-    /// Scans every thread's row: is @p offset published anywhere?
-    bool is_published(cxl::MemSession& mem, cxl::HeapOffset offset);
+    /// Reads every thread's row. Each line of the table costs one
+    /// HazardScan hook, one flush (the huge-heap rule: never act on a
+    /// stale cached copy of another thread's slot) and one bulk read.
+    HazardSnapshot snapshot(cxl::MemSession& mem) const;
+
+    /// Is @p offset published anywhere? One snapshot() plus a lookup.
+    bool
+    is_published(cxl::MemSession& mem, cxl::HeapOffset offset) const
+    {
+        return snapshot(mem).contains(offset);
+    }
 
     std::uint32_t slots_per_thread() const { return slots_; }
 

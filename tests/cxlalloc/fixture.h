@@ -15,6 +15,8 @@ struct RigOptions {
     bool simulate_cache = false;
     bool checked_mappings = false;
     bool recoverable = true;
+    /// Small-heap capacity in 32 KiB slabs (4 MiB of small data).
+    std::uint32_t small_slabs = 128;
     /// Extra device space past the heap layout (index bucket arrays etc.).
     std::uint64_t extra_device_bytes = 0;
 };
@@ -33,7 +35,7 @@ struct Rig {
     small_config(const RigOptions& opt)
     {
         cxlalloc::Config cfg;
-        cfg.small_slabs = 128;           // 4 MiB small data
+        cfg.small_slabs = opt.small_slabs;
         cfg.large_slabs = 16;            // 8 MiB large data
         cfg.huge_regions = 8;
         cfg.huge_region_size = 4 << 20;  // 32 MiB huge data

@@ -2,7 +2,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/cacheline.h"
 #include "fixture.h"
+#include "sync/hazard_offsets.h"
 
 namespace {
 
@@ -113,6 +115,48 @@ TEST(HugeAlloc, HazardBlocksReclamationUntilUnmap)
 
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
+}
+
+TEST(HugeAlloc, CleanupFlushesTheHazardTableOncePerPass)
+{
+    for (int k : {1, 4}) {
+        Rig rig;
+        auto t = rig.thread();
+        std::vector<cxl::HeapOffset> held;
+        for (int i = 0; i < k; i++) {
+            held.push_back(rig.alloc.allocate(*t, 1 << 20));
+            ASSERT_NE(held.back(), 0u);
+        }
+        for (cxl::HeapOffset p : held) {
+            rig.alloc.deallocate(*t, p);
+        }
+        const cxlalloc::Layout& layout = rig.alloc.layout();
+        cxl::HeapOffset base = layout.hazard_table();
+        std::uint64_t len = cxlsync::HazardOffsets::footprint(
+            rig.config.hazard_slots_per_thread);
+        std::uint64_t table_lines =
+            (cxlcommon::line_of(base + len - 1) - cxlcommon::line_of(base)) /
+                cxlcommon::kCacheLine +
+            1;
+
+        std::uint64_t before = t->mem().counters().flushed_lines;
+        std::uint64_t free_before =
+            rig.alloc.thread_state(t->tid()).huge_free.total();
+        rig.alloc.cleanup(*t);
+        // Every candidate is reclaimed: its address space is back.
+        EXPECT_EQ(rig.alloc.thread_state(t->tid()).huge_free.total(),
+                  free_before + static_cast<std::uint64_t>(k) * (1 << 20));
+        // One snapshot flushes each table line once. Each descriptor
+        // (32 B, inside one line) costs three more: the refetch that
+        // observes its free bit, the unlink (the list head, since
+        // candidates are reclaimed head first), and the publish of its
+        // cleared flags.
+        EXPECT_EQ(t->mem().counters().flushed_lines - before,
+                  table_lines + 3 * static_cast<std::uint64_t>(k))
+            << k << " freed descriptors";
+        rig.alloc.check_invariants(t->mem());
+        rig.pod.release_thread(std::move(t));
+    }
 }
 
 TEST(HugeAlloc, CrossThreadFree)

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "cxlalloc/size_class.h"
 #include "fixture.h"
 
 namespace {
@@ -294,13 +295,24 @@ TEST(SlabAlloc, CrossProcessSharedData)
 
 TEST(SlabAlloc, MultithreadedChurn)
 {
+    constexpr int kThreads = 4;
+    constexpr int kOps = 4000;
+    // Slabs are owned per thread and per class, so the threads' peaks add
+    // up. A thread holding n_c blocks of class c needs ceil(n_c / blocks
+    // per slab) slabs: at most one partial slab per class plus its live
+    // bytes (at most kOps blocks of kSmallMax) in full slabs. Run
+    // round-robin, the four streams already need all of 128 slabs by
+    // ~730 live blocks each, so a fixed 128-slab heap fails whenever the
+    // OS overlaps the threads.
+    constexpr std::uint32_t kWorstCaseSlabs =
+        kThreads * (cxlalloc::kNumSmallClasses +
+                    kOps * cxlalloc::kSmallMax / cxlalloc::kSmallSlabSize);
     for (cxl::CoherenceMode mode :
          {cxl::CoherenceMode::PartialHwcc, cxl::CoherenceMode::NoHwcc}) {
         RigOptions opt;
         opt.mode = mode;
+        opt.small_slabs = kWorstCaseSlabs;
         Rig rig(opt);
-        constexpr int kThreads = 4;
-        constexpr int kOps = 4000;
         std::vector<std::thread> workers;
         for (int w = 0; w < kThreads; w++) {
             workers.emplace_back([&rig, w] {

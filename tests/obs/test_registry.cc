@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -139,6 +140,46 @@ TEST(Registry, ResetKeepsIdsValid)
     EXPECT_EQ(reg.snapshot().counter("ops"), 0u);
     reg.shard(1).add(ops, 2);
     EXPECT_EQ(reg.snapshot().counter("ops"), 2u);
+}
+
+TEST(Registry, FullTableDropsAndCountsInsteadOfAborting)
+{
+    obs::MetricsRegistry reg;
+    for (std::uint32_t i = 0; i < obs::kMaxCounters; i++) {
+        reg.shard(1).add(reg.counter("c" + std::to_string(i)), 1);
+    }
+    for (std::uint32_t i = 0; i < obs::kMaxHistograms; i++) {
+        reg.histogram("h" + std::to_string(i));
+    }
+    EXPECT_EQ(reg.snapshot().counter("obs.dropped_metrics"), 0u);
+
+    // Updates through a discard id are accepted and never exported.
+    obs::MetricId extra = reg.counter("extra");
+    reg.shard(1).add(extra, 5);
+    reg.shard(1).add(reg.counter("extra"), 5); // same name: one drop
+    reg.shard(1).record(reg.histogram("extra_hist"), 7);
+    reg.set_gauge(reg.gauge("g"), 1.0); // gauges have room left
+
+    obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("obs.dropped_metrics"), 2u);
+    EXPECT_EQ(snap.counter("extra"), 0u);
+    EXPECT_EQ(snap.histogram("extra_hist"), nullptr);
+    EXPECT_EQ(snap.counter("c0"), 1u);
+    EXPECT_EQ(snap.counters.size(), obs::kMaxCounters + 1u);
+
+    // A registry that absorbed another's drop count and then drops a name
+    // of its own reports the sum under one name.
+    obs::MetricsRegistry outer;
+    for (std::uint32_t i = 0; i + 1 < obs::kMaxCounters; i++) {
+        outer.counter("o" + std::to_string(i));
+    }
+    obs::MetricsSnapshot inner;
+    inner.counters.emplace_back("obs.dropped_metrics", 2);
+    outer.absorb(inner); // takes the last slot
+    outer.counter("one_more");
+    obs::MetricsSnapshot merged = outer.snapshot();
+    EXPECT_EQ(merged.counter("obs.dropped_metrics"), 3u);
+    EXPECT_EQ(merged.counters.size(), obs::kMaxCounters + 0u);
 }
 
 TEST(Registry, JsonExportParsesBack)

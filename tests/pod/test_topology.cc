@@ -7,7 +7,9 @@
 
 #include <memory>
 
+#include "cxl/latency_model.h"
 #include "cxl/types.h"
+#include "obs/registry.h"
 #include "pod/pod.h"
 #include "pod/topology.h"
 
@@ -15,6 +17,7 @@ namespace {
 
 using cxl::EdgeCost;
 using pod::HostId;
+using pod::kMaxHosts;
 using pod::Pod;
 using pod::PodConfig;
 using pod::Topology;
@@ -197,6 +200,29 @@ TEST(PodRouting, EdgeCostsChargeSimTime)
     std::uint64_t after_remote = t0->mem().sim_ns();
     // The far edge adds read_add_ns (plus byte cost) on top of base CXL.
     EXPECT_GE(after_remote - local_ns, local_ns + far_edge().read_add_ns);
+}
+
+TEST(PodRouting, DenseSixteenBySixteenAllToAllPublishesItsMetrics)
+{
+    // The largest pod Topology accepts. Every host reads every device, so
+    // its per-edge metrics (496 counters, 240 histograms) overflow the
+    // registry, which drops and counts the excess instead of aborting.
+    RoutedPod rig(Topology::dense(kMaxHosts, cxl::kMaxDevices, EdgeCost{},
+                                  far_edge()));
+    cxl::LatencyModel model = cxl::LatencyModel::cxl_hwcc();
+    obs::MetricsRegistry registry;
+    for (HostId h = 0; h < kMaxHosts; h++) {
+        auto t = rig.pod->create_thread(rig.pod->create_process(h));
+        t->mem().set_latency_model(&model);
+        for (std::uint32_t d = 0; d < cxl::kMaxDevices; d++) {
+            t->mem().load<std::uint64_t>((cxl::HeapOffset{d} << 16) + 64);
+        }
+        t->mem().publish_metrics(registry);
+    }
+    obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counter("mem.loads"), kMaxHosts * cxl::kMaxDevices);
+    EXPECT_EQ(snap.counter("pod.edge.h0.d1.ops"), 1u);
+    EXPECT_GT(snap.counter("obs.dropped_metrics"), 0u);
 }
 
 TEST(PodRouting, SecondHostHasItsOwnHome)

@@ -148,7 +148,8 @@ TEST(SchedHazard, SkippedPublishFlushIsCaughtAndReplays)
     // window. The explorer must find the resulting deref-after-reclaim.
     //
     // This is a depth-1 preemption bug: the reader must be descheduled at
-    // its deref yield for the reclaimer's entire ~400-hook scan. A uniform
+    // its deref yield for the reclaimer's entire snapshot: 123 hooks, a
+    // scan, a flush and a read for each of the table's 41 lines. A uniform
     // random walk never strings that many consecutive picks together; a
     // single PCT change point (depth 2) landing on the deref demotes the
     // reader exactly there. A second change point would fire mid-scan and

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/cacheline.h"
+#include "common/random.h"
 #include "cxl/device.h"
 #include "cxl/nmp.h"
+#include "sched/hook.h"
 
 namespace {
 
@@ -110,6 +116,115 @@ TEST_F(HazardTest, CrashedThreadsHazardsRemainPublished)
     a.drop_cache(); // crash: note the publish flushed, so state survives
     MemSession b = session(2);
     EXPECT_TRUE(hazards_.is_published(b, 0x5000));
+}
+
+/// Counts the sched hooks a single-threaded call fires.
+struct HookCounter : sched::Listener {
+    HookCounter() { sched::t_listener = this; }
+    ~HookCounter() override { sched::t_listener = nullptr; }
+
+    void
+    on_event(const sched::Event& e) override
+    {
+        events++;
+        scans += e.op == sched::Op::HazardScan ? 1 : 0;
+    }
+
+    std::uint64_t events = 0;
+    std::uint64_t scans = 0;
+};
+
+/// Seeds every row of a table with random offsets (about a third of the
+/// slots filled, with repeats across rows), always including the first
+/// slot of the tid 0 row and the last slot of the tid kMaxThreads row.
+void
+fill_random(MemSession& writer, const HazardOffsets& hz, std::uint64_t seed)
+{
+    cxlcommon::Xoshiro rng(seed);
+    for (std::uint32_t tid = 0; tid <= cxl::kMaxThreads; tid++) {
+        for (std::uint32_t slot = 0; slot < hz.slots_per_thread(); slot++) {
+            bool edge = (tid == 0 && slot == 0) ||
+                        (tid == cxl::kMaxThreads &&
+                         slot + 1 == hz.slots_per_thread());
+            if (!edge && rng.next_below(3) != 0) {
+                continue;
+            }
+            cxl::HeapOffset at =
+                hz.slot_offset(static_cast<cxl::ThreadId>(tid), slot);
+            writer.store<std::uint64_t>(at, 0x1000 + rng.next_below(64) * 8);
+            writer.flush(at, 8);
+        }
+    }
+    writer.fence();
+}
+
+/// The published offsets as a per-slot reader sees them, sorted.
+std::vector<cxl::HeapOffset>
+brute_force(MemSession& reader, const HazardOffsets& hz)
+{
+    std::vector<cxl::HeapOffset> out;
+    for (std::uint32_t tid = 0; tid <= cxl::kMaxThreads; tid++) {
+        for (std::uint32_t slot = 0; slot < hz.slots_per_thread(); slot++) {
+            cxl::HeapOffset at =
+                hz.slot_offset(static_cast<cxl::ThreadId>(tid), slot);
+            reader.flush(at, 8);
+            if (std::uint64_t v = reader.load<std::uint64_t>(at); v != 0) {
+                out.push_back(v);
+            }
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST_F(HazardTest, SnapshotMatchesPerSlotReadAtEveryRowWidth)
+{
+    // 24 B rows (3 slots) straddle lines; 2 and 3 slots per row end the
+    // table mid-line (2576 B and 3864 B). A skewed base also splits the
+    // first line and makes rows of every width straddle.
+    for (std::uint32_t slots : {2u, 3u, 8u, 16u}) {
+        for (cxl::HeapOffset skew : {0u, 24u}) {
+            HazardOffsets hz((2 << 20) + skew, slots);
+            MemSession writer = session(5);
+            fill_random(writer, hz, 100 * slots + skew);
+            MemSession reader = session(6);
+            std::vector<cxl::HeapOffset> expect = brute_force(reader, hz);
+            ASSERT_FALSE(expect.empty());
+
+            MemSession fresh = session(7);
+            std::uint64_t hooks = 0;
+            std::uint64_t scans = 0;
+            cxlsync::HazardSnapshot snap;
+            {
+                HookCounter counter;
+                snap = hz.snapshot(fresh);
+                hooks = counter.events;
+                scans = counter.scans;
+            }
+            EXPECT_EQ(snap.offsets, expect)
+                << slots << " slots/row, base skew " << skew;
+            cxl::HeapOffset row0 = fresh.load<std::uint64_t>(
+                hz.slot_offset(0, 0));
+            cxl::HeapOffset last = fresh.load<std::uint64_t>(
+                hz.slot_offset(cxl::kMaxThreads, slots - 1));
+            EXPECT_TRUE(snap.contains(row0));
+            EXPECT_TRUE(snap.contains(last));
+            EXPECT_FALSE(snap.contains(0x0ff8));
+
+            // One flush and one read per covered line, nothing more.
+            std::uint64_t base = (2 << 20) + skew;
+            std::uint64_t end = base + HazardOffsets::footprint(slots);
+            std::uint64_t lines =
+                (cxlcommon::line_of(end - 1) - cxlcommon::line_of(base)) /
+                    cxlcommon::kCacheLine +
+                1;
+            EXPECT_EQ(fresh.counters().flushes, lines);
+            EXPECT_EQ(fresh.counters().flushed_lines, lines);
+            // Per line: the scan hook, the flush and the bulk read.
+            EXPECT_EQ(scans, lines);
+            EXPECT_EQ(hooks, 3 * lines);
+        }
+    }
 }
 
 } // namespace
