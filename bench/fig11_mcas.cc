@@ -15,6 +15,13 @@
 /// kNmpRingSlots independent operands per doorbell (batched), where the
 /// ~2.3 us round trip is paid once per ring and each extra operand costs
 /// only the engine's serialized CAS pass (mcas_batch_slot_ns).
+///
+/// A third section runs the same two disciplines through the allocator on
+/// NoHwcc: one thread allocates blocks across many slabs, a second frees
+/// them remotely, serially (deallocate) or in rings (deallocate_batch).
+/// Both threads run on one OS thread, so the modeled numbers are
+/// deterministic; these cells publish the unprefixed mem.* / alloc.* /
+/// run.ops counters the metrics verifier checks.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +31,7 @@
 #include "common/random.h"
 #include "cxl/latency_model.h"
 #include "cxl/mem_ops.h"
+#include "cxlalloc/allocator.h"
 #include "pod/pod.h"
 #include "support.h"
 
@@ -251,6 +259,84 @@ run_engine(bool batched, std::uint32_t threads)
     return cell;
 }
 
+// ------------- allocator remote frees: serial vs batched (NoHwcc) --------
+
+constexpr std::uint32_t kAllocRounds = 32;
+constexpr std::uint32_t kFreeChunk = 16; ///< offsets per deallocate_batch
+
+struct AllocCell {
+    obs::MetricsSnapshot snap;
+    std::uint64_t frees = 0;
+    std::uint64_t free_sim_ns = 0; ///< freeing thread's modeled time
+    std::uint64_t free_mcas = 0;   ///< freeing thread's mCAS operands
+};
+
+/// Thread 1 allocates kAllocRounds blocks of each of seven small classes
+/// (one slab per class); thread 2 frees every block remotely, one
+/// deallocate per block or deallocate_batch over chunks that interleave
+/// the classes, so each ring round carries up to seven distinct slabs.
+AllocCell
+run_alloc(bool batched)
+{
+    obs::MetricsRegistry reg;
+    cxlalloc::Config cfg;
+    cfg.small_slabs = 64;
+    cfg.large_slabs = 4;
+    cfg.huge_regions = 1;
+    cfg.huge_region_size = 1 << 20;
+    pod::PodConfig pc;
+    pc.device = cxlalloc::Layout(cfg).device_config(
+        cxl::CoherenceMode::NoHwcc);
+    pod::Pod pod(pc);
+    cxlalloc::CxlAllocator heap(pod, cfg);
+    heap.set_metrics(&reg);
+    pod::Process* proc = pod.create_process();
+    heap.attach(*proc);
+    cxl::LatencyModel model = cxl::LatencyModel::cxl_mcas();
+    auto owner = pod.create_thread(proc);
+    auto freer = pod.create_thread(proc);
+    heap.attach_thread(*owner);
+    heap.attach_thread(*freer);
+    owner->mem().set_latency_model(&model);
+    freer->mem().set_latency_model(&model);
+
+    std::vector<cxl::HeapOffset> offs;
+    for (std::uint32_t r = 0; r < kAllocRounds; r++) {
+        for (std::uint64_t size : {16, 32, 64, 128, 256, 512, 1024}) {
+            cxl::HeapOffset p = heap.allocate(*owner, size);
+            CXL_FATAL_IF(p == 0, "fig11: allocator cell exhausted the heap");
+            offs.push_back(p);
+        }
+    }
+    cxl::MemSession& mem = freer->mem();
+    std::uint64_t ns0 = mem.sim_ns();
+    std::uint64_t mcas0 = mem.counters().mcas_ops;
+    if (batched) {
+        for (std::size_t i = 0; i < offs.size(); i += kFreeChunk) {
+            auto n = static_cast<std::uint32_t>(
+                std::min<std::size_t>(kFreeChunk, offs.size() - i));
+            heap.deallocate_batch(*freer, offs.data() + i, n);
+        }
+    } else {
+        for (cxl::HeapOffset p : offs) {
+            heap.deallocate(*freer, p);
+        }
+    }
+    AllocCell cell;
+    cell.frees = offs.size();
+    cell.free_sim_ns = mem.sim_ns() - ns0;
+    cell.free_mcas = mem.counters().mcas_ops - mcas0;
+    heap.check_invariants(mem);
+    reg.shard(freer->tid()).add(reg.counter("run.ops"), cell.frees);
+    owner->mem().publish_metrics(reg);
+    mem.publish_metrics(reg);
+    pod.nmp().publish_metrics(reg);
+    pod.release_thread(std::move(owner));
+    pod.release_thread(std::move(freer));
+    cell.snap = reg.snapshot();
+    return cell;
+}
+
 } // namespace
 
 int
@@ -328,6 +414,28 @@ main(int argc, char** argv)
                     "operands, each extra operand costing only the "
                     "engine's serialized CAS pass\n",
                     batched_t8 / serial_t8, cxl::kNmpRingSlots);
+    }
+
+    std::puts("Fig. 11 (allocator): remote frees through CxlAllocator on "
+              "NoHwcc, one deallocate per block vs deallocate_batch rings");
+    for (bool batched : {false, true}) {
+        const char* name = batched ? "alloc_batched" : "alloc_serial";
+        AllocCell cell = run_alloc(batched);
+        std::printf("fig11  %-13s frees=%-5llu  %8.0f modeled ns/free  "
+                    "%.2f mCAS/free\n",
+                    name, static_cast<unsigned long long>(cell.frees),
+                    static_cast<double>(cell.free_sim_ns) /
+                        static_cast<double>(cell.frees),
+                    static_cast<double>(cell.free_mcas) /
+                        static_cast<double>(cell.frees));
+        if (obs::MetricsRegistry* reg = bench::bundle_metrics()) {
+            char prefix[48];
+            std::snprintf(prefix, sizeof prefix, "fig11.%s.", name);
+            reg->absorb(cell.snap, prefix);
+            // Unprefixed too: the verifier's mem.* / alloc.* / run.ops
+            // checks read these (summed over both cells).
+            reg->absorb(cell.snap);
+        }
     }
     bench::finish_metrics(opt);
     return 0;

@@ -333,10 +333,8 @@ MemSession::cas64(HeapOffset offset, std::uint64_t& expected,
     check_access(offset, 8);
     if (device_->mode() == CoherenceMode::NoHwcc) {
         counters_.mcas_ops++;
-        // Stall-aware spwr/doorbell/poll (the legacy Nmp::mcas wrapper
-        // asserts the doorbell answered, which a stalled engine violates):
-        // post the operand, then climb the same bounded retry ladder
-        // mcas_doorbell() uses before escalating.
+        // A ring of one: post the operand, then climb the same bounded
+        // stall-retry ladder mcas_doorbell() uses before escalating.
         bool posted = nmp_->spwr_post(
             tid_, McasOperand{.target = offset, .expected = expected,
                               .swap = desired});

@@ -570,8 +570,8 @@ bool
 SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
+    std::uint64_t word = mem.atomic_load64(free_word_);
     while (true) {
-        std::uint64_t word = mem.atomic_load64(free_word_);
         std::uint32_t headraw = DcasWord::value(word);
         if (headraw == 0) {
             return false;
@@ -589,12 +589,13 @@ SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
                                 .version = ver,
                                 .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, free_word_, headraw, next, ver);
+        auto r = dcas_->try_cas_from(mem, free_word_, word, next, ver);
         if (r.success) {
             ctx.maybe_crash(crashpoint::kAfterDcas);
             acquire_to_unsized(ctx, slab);
             return true;
         }
+        word = r.observed;
     }
 }
 
@@ -602,8 +603,8 @@ bool
 SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
+    std::uint64_t word = mem.atomic_load64(len_word_);
     while (true) {
-        std::uint64_t word = mem.atomic_load64(len_word_);
         std::uint32_t len = DcasWord::value(word);
         if (len >= num_slabs_) {
             return false;
@@ -615,7 +616,7 @@ SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
                                 .version = ver,
                                 .index = len});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, len_word_, len, len + 1, ver);
+        auto r = dcas_->try_cas_from(mem, len_word_, word, len + 1, ver);
         if (r.success) {
             std::uint32_t slab = len;
             ctx.maybe_crash(crashpoint::kAfterDcas);
@@ -626,6 +627,7 @@ SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
             acquire_to_unsized(ctx, slab);
             return true;
         }
+        word = r.observed;
     }
 }
 
@@ -770,7 +772,8 @@ SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                 retry.push_back(offset);
                 continue;
             }
-            std::uint32_t cur = dcas_->read(mem, hwcc(slab));
+            std::uint64_t word = mem.atomic_load64(hwcc(slab));
+            std::uint32_t cur = DcasWord::value(word);
             CXL_ASSERT(cur > 0,
                        "remote-free counter underflow (double free?)");
             if (cur == 1) {
@@ -779,15 +782,11 @@ SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
             }
             // cur >= 2, so a successful staged CAS lands a counter >= 1:
             // a batched operand can never be the stealing decrement.
+            // A counter that moves before the doorbell fails the operand,
+            // which then retries next round.
             std::uint16_t ver = ts.next_version();
-            cxl::McasOperand op;
-            cxlsync::DetectableCas::Result fail;
-            if (!dcas_->stage(mem, hwcc(slab), cur, cur - 1, ver, &op,
-                              &fail)) {
-                retry.push_back(offset); // counter moved under us
-                continue;
-            }
-            staged_op[staged] = op;
+            staged_op[staged] =
+                dcas_->stage(mem, hwcc(slab), word, cur - 1, ver);
             staged_slab[staged] = slab;
             staged_off[staged] = offset;
             last_ver = ver;
@@ -885,8 +884,9 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
                       std::uint32_t slab)
 {
     cxl::MemSession& mem = ctx.mem();
+    std::uint64_t word = mem.atomic_load64(hwcc(slab));
     while (true) {
-        std::uint32_t cur = dcas_->read(mem, hwcc(slab));
+        std::uint32_t cur = DcasWord::value(word);
         CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
         std::uint16_t ver = ts.next_version();
         log_->log(mem, OpRecord{.op = Op::FreeRemote,
@@ -895,8 +895,9 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
                                 .version = ver,
                                 .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, hwcc(slab), cur, cur - 1, ver);
+        auto r = dcas_->try_cas_from(mem, hwcc(slab), word, cur - 1, ver);
         if (!r.success) {
+            word = r.observed;
             continue;
         }
         if (cur - 1 == 0) {
@@ -934,8 +935,8 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
     // device while it sits on the global free list.
     ctx.process().pod().device().note_decommitted(slab_data(slab),
                                                   slab_size_);
+    std::uint64_t word = mem.atomic_load64(free_word_);
     while (true) {
-        std::uint64_t word = mem.atomic_load64(free_word_);
         std::uint32_t headraw = DcasWord::value(word);
         set_next_raw(mem, slab, headraw);
         std::uint16_t ver = ts.next_version();
@@ -959,9 +960,11 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
             mem.fence();
         }
         ctx.maybe_crash(crashpoint::kMidPushGlobal);
-        if (dcas_->try_cas(mem, free_word_, headraw, slab + 1, ver).success) {
+        auto r = dcas_->try_cas_from(mem, free_word_, word, slab + 1, ver);
+        if (r.success) {
             return;
         }
+        word = r.observed;
     }
 }
 
@@ -1032,10 +1035,15 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             init_from_unsized(ctx, slab, cls);
             break;
         }
-        if (state(mem, slab) == SlabState::TlSized &&
-            class_biased(mem, slab) == cls + 1) {
+        // push_sized stores the list head before the state: a head naming
+        // the slab means the push completed but for its last store.
+        if (class_biased(mem, slab) == cls + 1 &&
+            (state(mem, slab) == SlabState::TlSized ||
+             mem.load<std::uint32_t>(sized_head_off(mem.tid(), cls)) ==
+                 slab + 1)) {
             // Completed; resync the counter with whatever bitset lines
             // proved durable.
+            set_state(mem, slab, SlabState::TlSized);
             set_free_blocks(mem, slab, bitset_count(mem, slab, cls));
             break;
         }
@@ -1173,16 +1181,16 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         set_owner(mem, slab, cxl::kNoThread);
         set_class_biased(mem, slab, 0);
         set_state(mem, slab, SlabState::Global);
+        std::uint64_t word = mem.atomic_load64(free_word_);
         while (true) {
-            std::uint64_t word = mem.atomic_load64(free_word_);
-            std::uint32_t headraw = DcasWord::value(word);
-            set_next_raw(mem, slab, headraw);
+            set_next_raw(mem, slab, DcasWord::value(word));
             flush_desc(mem, slab);
             std::uint16_t ver = ts.next_version();
-            if (dcas_->try_cas(mem, free_word_, headraw, slab + 1, ver)
-                    .success) {
+            auto r = dcas_->try_cas_from(mem, free_word_, word, slab + 1, ver);
+            if (r.success) {
                 break;
             }
+            word = r.observed;
         }
         break;
       }

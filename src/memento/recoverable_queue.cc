@@ -92,7 +92,7 @@ RecoverableQueue::push(pod::ThreadContext& ctx, std::uint64_t size,
         if (r.success) {
             break;
         }
-        head = r.observed;
+        head = r.value();
     }
     ctx.maybe_crash(qcrash::kAfterLink);
     return true;
@@ -102,8 +102,9 @@ bool
 RecoverableQueue::pop(pod::ThreadContext& ctx)
 {
     cxl::MemSession& mem = ctx.mem();
+    std::uint64_t word = mem.atomic_load64(head_);
     while (true) {
-        std::uint32_t head = dcas_.read(mem, head_);
+        std::uint32_t head = cxlsync::DcasWord::value(word);
         if (head == 0) {
             return false;
         }
@@ -115,8 +116,11 @@ RecoverableQueue::pop(pod::ThreadContext& ctx)
         // Record the node we are trying to take, per attempt, so recovery
         // can finish the free if we die after the CAS.
         write_record(mem, QOp::Pop, ver, node);
-        auto r = dcas_.try_cas(mem, head_, head,
-                               static_cast<std::uint32_t>(next / 8), ver);
+        // CAS from the word whose head we read `next` from: the tag makes
+        // a head that was popped and pushed back in between (ABA) fail
+        // instead of installing a stale `next`.
+        auto r = dcas_.try_cas_from(mem, head_, word,
+                                    static_cast<std::uint32_t>(next / 8), ver);
         if (r.success) {
             ctx.maybe_crash(qcrash::kAfterUnlink);
             alloc_->deallocate(ctx, node);
@@ -125,6 +129,7 @@ RecoverableQueue::pop(pod::ThreadContext& ctx)
             write_record(mem, QOp::None, ver, 0);
             return true;
         }
+        word = r.observed;
     }
 }
 
@@ -163,7 +168,7 @@ RecoverableQueue::recover(pod::ThreadContext& ctx)
             if (r.success) {
                 break;
             }
-            head = r.observed;
+            head = r.value();
         }
         break;
       }

@@ -11,88 +11,48 @@ DetectableCas::try_cas(cxl::MemSession& mem, cxl::HeapOffset word_offset,
                        std::uint16_t version)
 {
     sched::hook(sched::Op::DcasTry, word_offset, desired);
-    std::uint64_t current = mem.atomic_load64(word_offset);
-    if (DcasWord::value(current) != expected) {
-        return Result{false, DcasWord::value(current)};
+    std::uint64_t seen = mem.atomic_load64(word_offset);
+    if (DcasWord::value(seen) != expected) {
+        return Result{false, seen};
     }
+    return cas_from(mem, word_offset, seen, desired, version);
+}
+
+DetectableCas::Result
+DetectableCas::try_cas_from(cxl::MemSession& mem,
+                            cxl::HeapOffset word_offset, std::uint64_t seen,
+                            std::uint32_t desired, std::uint16_t version)
+{
+    sched::hook(sched::Op::DcasTry, word_offset, desired);
+    return cas_from(mem, word_offset, seen, desired, version);
+}
+
+DetectableCas::Result
+DetectableCas::cas_from(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                        std::uint64_t seen, std::uint32_t desired,
+                        std::uint16_t version)
+{
     // Before displacing a tagged word, publish the displaced owner's success
     // so its recovery can detect it even after the word moves on.
-    if (detectable_ && DcasWord::tid(current) != cxl::kNoThread) {
-        record_help(mem, DcasWord::tid(current), DcasWord::version(current));
+    record_help(mem, seen, version);
+    std::uint64_t observed = seen;
+    if (mem.cas64(word_offset, observed,
+                  DcasWord::pack(desired, mem.tid(), version))) {
+        return Result{true, seen};
     }
-    std::uint64_t desired_word =
-        DcasWord::pack(desired, mem.tid(), version);
-    std::uint64_t expected_word = current;
-    if (mem.cas64(word_offset, expected_word, desired_word)) {
-        return Result{true, expected};
-    }
-    return Result{false, DcasWord::value(expected_word)};
+    return Result{false, observed};
 }
 
-bool
+cxl::McasOperand
 DetectableCas::stage(cxl::MemSession& mem, cxl::HeapOffset word_offset,
-                     std::uint32_t expected, std::uint32_t desired,
-                     std::uint16_t version, cxl::McasOperand* out,
-                     Result* failed)
+                     std::uint64_t seen, std::uint32_t desired,
+                     std::uint16_t version)
 {
-    std::uint64_t current = mem.atomic_load64(word_offset);
-    if (DcasWord::value(current) != expected) {
-        *failed = Result{false, DcasWord::value(current)};
-        return false;
-    }
-    // Before displacing a tagged word, publish the displaced owner's
-    // success so its recovery can detect it even after the word moves on.
-    if (detectable_ && DcasWord::tid(current) != cxl::kNoThread) {
-        record_help(mem, DcasWord::tid(current), DcasWord::version(current));
-    }
-    *out = cxl::McasOperand{
+    record_help(mem, seen, version);
+    return cxl::McasOperand{
         .target = word_offset,
-        .expected = current,
+        .expected = seen,
         .swap = DcasWord::pack(desired, mem.tid(), version)};
-    return true;
-}
-
-void
-DetectableCas::try_cas_batch(cxl::MemSession& mem, const BatchOp* ops,
-                             std::uint32_t n, Result* results)
-{
-    std::uint32_t i = 0;
-    while (i < n) {
-        // Stage one ring's worth of survivors.
-        cxl::McasOperand operands[cxl::kNmpRingSlots];
-        std::uint32_t index_of[cxl::kNmpRingSlots];
-        std::uint32_t staged = 0;
-        while (i < n && staged < cxl::kNmpRingSlots) {
-            if (stage(mem, ops[i].word_offset, ops[i].expected,
-                      ops[i].desired, ops[i].version, &operands[staged],
-                      &results[i])) {
-                index_of[staged] = i;
-                staged++;
-            }
-            i++;
-        }
-        if (staged == 0) {
-            continue;
-        }
-        cxl::McasResult raw[cxl::kNmpRingSlots];
-        std::uint32_t done = mem.mcas_batch(operands, staged, raw);
-        CXL_ASSERT(done == staged, "ring-sized chunk not fully accepted");
-        (void)done;
-        for (std::uint32_t k = 0; k < staged; k++) {
-            Result& r = results[index_of[k]];
-            if (raw[k].success) {
-                r = Result{true, ops[index_of[k]].expected};
-            } else if (raw[k].conflict) {
-                // Hardware reports no previous value on conflict; reload
-                // so the caller's retry loop sees fresh state.
-                r = Result{false,
-                           DcasWord::value(mem.atomic_load64(
-                               ops[index_of[k]].word_offset))};
-            } else {
-                r = Result{false, DcasWord::value(raw[k].previous)};
-            }
-        }
-    }
 }
 
 bool
@@ -115,22 +75,40 @@ DetectableCas::did_succeed(cxl::MemSession& mem,
 }
 
 void
-DetectableCas::record_help(cxl::MemSession& mem, cxl::ThreadId tid,
-                           std::uint16_t version)
+DetectableCas::record_help(cxl::MemSession& mem, std::uint64_t displaced,
+                           std::uint16_t installing)
 {
+    cxl::ThreadId tid = DcasWord::tid(displaced);
+    if (!detectable_ || tid == cxl::kNoThread) {
+        return;
+    }
     sched::hook(sched::Op::DcasHelp, help_entry(tid), tid);
-    cxl::HeapOffset entry = help_entry(tid);
-    std::uint64_t biased = static_cast<std::uint64_t>(version) + 1;
-    std::uint64_t current = mem.atomic_load64(entry);
-    while (true) {
-        if (current != 0 &&
-            version_geq(static_cast<std::uint16_t>(current - 1), version)) {
-            return; // already recorded (or newer)
+    bool self = tid == mem.tid();
+    if (self && floor_[tid] != 0) {
+        // Distance from the version help[tid] is known to hold to the one
+        // being installed; 0 or "behind" (a rewound, adopted slot) is
+        // never within the slack.
+        auto lag = static_cast<std::uint16_t>(
+            (installing - (floor_[tid] - 1)) & kVersionMask);
+        if (lag != 0 && lag <= kSelfHelpSlack) {
+            return; // see the class comment: (tid, v') is never queried
         }
+    }
+    cxl::HeapOffset entry = help_entry(tid);
+    std::uint64_t biased =
+        static_cast<std::uint64_t>(DcasWord::version(displaced)) + 1;
+    std::uint64_t current = mem.atomic_load64(entry);
+    while (current == 0 ||
+           !version_geq(static_cast<std::uint16_t>(current - 1),
+                        static_cast<std::uint16_t>(biased - 1))) {
         if (mem.cas64(entry, current, biased)) {
-            return;
+            current = biased;
+            break;
         }
         // current reloaded by cas64 on failure; loop.
+    }
+    if (self) {
+        floor_[tid] = static_cast<std::uint16_t>(current);
     }
 }
 

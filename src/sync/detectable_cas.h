@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "cxl/mem_ops.h"
@@ -63,7 +64,52 @@ version_geq(std::uint16_t a, std::uint16_t b)
     return diff < (1u << (kVersionBits - 1));
 }
 
+/// How far (in versions) a thread may run ahead of its own help entry by
+/// skipping self-help records; see DetectableCas.
+inline constexpr std::uint16_t kSelfHelpSlack = 256;
+
 /// Detectable CAS over words in the HWcc (or device-biased) region.
+///
+/// Self-help elision. A thread that displaces its OWN tag skips the help
+/// record (under NoHwcc each help write is a full mCAS round trip) while
+/// its help entry is known to lag the version it is installing by at most
+/// kSelfHelpSlack. Soundness:
+///  1. A displaced self tag (t, v') belongs to a CAS of t that succeeded;
+///     t is now installing a newer version v.
+///  2. did_succeed is queried only for versions named by t's CURRENT
+///     record; for Op::FreeRemoteBatch, that means the operands still in
+///     t's NMP ring.
+///  3. Every caller logs a new record naming v before a CAS with a new
+///     version v, so once t installs v, v' is no longer named. The one
+///     exception is SlabHeap::deallocate_batch's stage(), which runs
+///     before that round's record is logged — but only while the ring is
+///     empty (the previous round was fully polled), so the previous
+///     record names no operand that can still be queried. Hence (t, v')
+///     is never queried again.
+///  4. The clients agree: the slab heap (PopGlobal, Extend, FreeRemote,
+///     PushGlobal log per attempt; FreeRemoteBatch asks only about ring
+///     operands), the huge heap (HugeReserve logs per attempt; its
+///     recovery reads the region owner, not did_succeed), migrate cells
+///     (the row's v_pub is queried only while the row sits in Publish,
+///     before t touches the cell again) and the memento queue (its own
+///     DetectableCas; one record per push, one per pop attempt). The
+///     redo loops of recovery (PushGlobal, memento push) CAS with fresh
+///     versions under a record whose version never landed, so the tags
+///     they displace are not the one that record names.
+///  5. Skipping leaves help[t] LOWER than the unelided protocol would, so
+///     it can only turn a true answer false, which (1-4) rule out — or
+///     alias: the 15-bit wrap-aware version_geq misreads a help entry
+///     more than 2^14 versions behind as ahead. The slack bounds how far
+///     help[t] can fall behind t's version through skips, so no alias.
+/// The bound is tracked without reading help[t]: floor_[t] is a host-side
+/// copy (not persisted; 0 = unknown) of a value help[t] once held,
+/// written only by thread t. Help entries only move forward, so it is
+/// always a lower bound of help[t]. When it is stale — unknown, more than
+/// the slack behind, or ahead of a rewound version counter — the help
+/// entry is loaded and CASed as usual, and the floor refreshed.
+/// Guarded by DetectableCas.SelfDisplacementCosts*, .CasFromLoadedWord*,
+/// .WrapAware*, .ForeignDisplacementAfterSkips*, .FloorStaysALowerBound*
+/// and DeallocateBatchCrash.RetryRoundSweep.
 class DetectableCas {
   public:
     /// @param help_base  offset of the help array: (kMaxThreads + 1) 64-bit
@@ -79,44 +125,39 @@ class DetectableCas {
 
     struct Result {
         bool success;
-        /// Value observed in the word (on failure, the fresh value).
-        std::uint32_t observed;
+        /// On failure, the word observed at the target (fresh: a retry
+        /// can CAS from it directly); on success, the displaced word.
+        std::uint64_t observed;
+
+        std::uint32_t value() const { return DcasWord::value(observed); }
     };
 
     /// One detectable CAS attempt of @p expected -> @p desired on the
     /// 32-bit value stored at @p word_offset, tagged with the caller's
-    /// identity and @p version. Callers retry on failure.
+    /// identity and @p version: loads the word, checks its value, then
+    /// runs try_cas_from. Callers retry on failure.
     Result try_cas(cxl::MemSession& mem, cxl::HeapOffset word_offset,
                    std::uint32_t expected, std::uint32_t desired,
                    std::uint16_t version);
 
-    /// Phase 1 of a batched detectable CAS — the staging half of try_cas:
-    /// value-checks the word and publishes the displaced owner's success,
-    /// then emits the raw word-level operand for MemSession::mcas_post /
-    /// mcas_batch. Returns false when the value check already fails
-    /// (@p failed filled; nothing to submit). The displaced-owner help
-    /// record is written BEFORE the operand can execute, preserving the
-    /// recovery invariant of the serial path.
-    bool stage(cxl::MemSession& mem, cxl::HeapOffset word_offset,
-               std::uint32_t expected, std::uint32_t desired,
-               std::uint16_t version, cxl::McasOperand* out, Result* failed);
+    /// One detectable CAS attempt from the word @p seen the caller already
+    /// loaded from @p word_offset (no second load): publishes the
+    /// displaced owner's success, then CASes @p seen -> (@p desired,
+    /// caller, @p version). Under NoHwcc this is one mCAS round trip when
+    /// the help record is elided.
+    Result try_cas_from(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                        std::uint64_t seen, std::uint32_t desired,
+                        std::uint16_t version);
 
-    /// One staged detectable CAS in a batch.
-    struct BatchOp {
-        cxl::HeapOffset word_offset = 0;
-        std::uint32_t expected = 0;
-        std::uint32_t desired = 0;
-        std::uint16_t version = 0;
-    };
-
-    /// Batched detectable CAS over INDEPENDENT words (distinct
-    /// word_offsets; duplicates conflict per Fig. 6(b)): stages every op,
-    /// then submits the survivors in ring-sized chunks — one device round
-    /// trip per chunk under NoHwcc, a serial coherent-CAS loop otherwise.
-    /// results[i] mirrors try_cas: on any failure the freshest observed
-    /// value is reported so callers can retry.
-    void try_cas_batch(cxl::MemSession& mem, const BatchOp* ops,
-                       std::uint32_t n, Result* results);
+    /// The staging half of try_cas_from, for a batched NMP submission:
+    /// publishes the displaced owner's success, then returns the raw
+    /// operand for MemSession::mcas_post. The help record is written
+    /// BEFORE the operand can execute, preserving the recovery invariant
+    /// of the serial path; under NoHwcc it is a serial mCAS, so the
+    /// caller's ring must be empty.
+    cxl::McasOperand stage(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                           std::uint64_t seen, std::uint32_t desired,
+                           std::uint16_t version);
 
     /// Reads the 32-bit value currently stored at @p word_offset.
     std::uint32_t
@@ -126,25 +167,38 @@ class DetectableCas {
     }
 
     /// Recovery query: did thread @p mem.tid()'s CAS tagged @p version on
-    /// @p word_offset take effect?
+    /// @p word_offset take effect? Only for a version named by the
+    /// thread's current record (see the class comment).
     bool did_succeed(cxl::MemSession& mem, cxl::HeapOffset word_offset,
                      std::uint16_t version);
 
     bool detectable() const { return detectable_; }
 
-  private:
-    /// Records that @p tid's CAS tagged @p version is known to have
-    /// succeeded (its tag was observed in a word).
-    void record_help(cxl::MemSession& mem, cxl::ThreadId tid,
-                     std::uint16_t version);
-
+    /// Offset of thread @p tid's help entry (version + 1; 0 = none).
     cxl::HeapOffset help_entry(cxl::ThreadId tid) const
     {
         return help_base_ + static_cast<cxl::HeapOffset>(tid) * 8;
     }
 
+    /// Thread @p tid's help floor: a lower bound of its help entry in the
+    /// same (version + 1) encoding, 0 when unknown.
+    std::uint16_t help_floor(cxl::ThreadId tid) const { return floor_[tid]; }
+
+  private:
+    /// Before displacing @p displaced with a CAS tagged @p installing,
+    /// records that the displaced owner's CAS succeeded — unless the
+    /// owner is the caller and its floor is within kSelfHelpSlack.
+    void record_help(cxl::MemSession& mem, std::uint64_t displaced,
+                     std::uint16_t installing);
+
+    /// try_cas_from without the DcasTry hook.
+    Result cas_from(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                    std::uint64_t seen, std::uint32_t desired,
+                    std::uint16_t version);
+
     cxl::HeapOffset help_base_;
     bool detectable_;
+    std::array<std::uint16_t, cxl::kMaxThreads + 1> floor_{};
 };
 
 } // namespace cxlsync

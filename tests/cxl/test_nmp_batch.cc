@@ -143,7 +143,9 @@ TEST_F(NmpBatchTest, PartialBatchConflictOnlyHitsTheOverlappingTarget)
     EXPECT_TRUE(r.conflict); // 256: doomed by T1's staged operand
     ASSERT_TRUE(nmp_.poll(2, &r));
     EXPECT_TRUE(r.success); // 768
-    EXPECT_TRUE(nmp_.sprd(1).success);
+    EXPECT_EQ(nmp_.doorbell(1), 1u);
+    ASSERT_TRUE(nmp_.poll(1, &r));
+    EXPECT_TRUE(r.success);
     EXPECT_EQ(word(256), 1u);
     EXPECT_EQ(word(512), 2u);
     EXPECT_EQ(word(768), 4u);
@@ -500,6 +502,103 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
             (void)crashed;
             rig.pod.release_thread(std::move(t1));
             rig.pod.release_thread(std::move(t2));
+        }
+    }
+}
+
+/// Remote-free counter of the small slab holding @p offset.
+std::uint32_t
+counter_of(Rig& rig, cxl::MemSession& mem, cxl::HeapOffset offset)
+{
+    auto slab = static_cast<std::uint32_t>(
+        (offset - rig.alloc.layout().small_data()) / cxlalloc::kSmallSlabSize);
+    return rig.alloc.small_heap().debug_remote_free(mem, slab);
+}
+
+TEST(DeallocateBatchCrash, RetryRoundSweep)
+{
+    // Same-slab duplicates force every round after the first to stage
+    // over the previous round's own tags, i.e. the path where the help
+    // record is elided and a kMidBatchStage crash finds the previous
+    // round's FreeRemoteBatch record. Local blocks in the batch put
+    // kAfterRecord (serial free_local) between rounds. Crash at every
+    // countdown of every batch point, under both severities: recovery
+    // must leave a consistent heap whose counters never drop below the
+    // blocks the test still holds (a doubled decrement would).
+    for (auto severity :
+         {pod::Pod::CrashSeverity::Process, pod::Pod::CrashSeverity::Host}) {
+        for (int point : {cxlalloc::crashpoint::kAfterRecord,
+                          cxlalloc::crashpoint::kMidBatchStage,
+                          cxlalloc::crashpoint::kMidBatchDoorbell,
+                          cxlalloc::crashpoint::kMidBatchDrain}) {
+            bool completed = false;
+            std::uint32_t crashes = 0;
+            for (std::uint32_t countdown = 1; !completed; countdown++) {
+                ASSERT_LE(countdown, 64u) << "batch never completed";
+                RigOptions opt = nohwcc_opts();
+                opt.simulate_cache = true;
+                Rig rig(opt);
+                auto t1 = rig.thread();
+                auto t2 = rig.thread();
+                // Two victim slabs: 32 x 1 KiB and 64 x 512 B blocks.
+                std::vector<cxl::HeapOffset> a, b;
+                for (int i = 0; i < 32; i++) {
+                    a.push_back(rig.alloc.allocate(*t1, 1024));
+                }
+                for (int i = 0; i < 64; i++) {
+                    b.push_back(rig.alloc.allocate(*t1, 512));
+                }
+                std::vector<cxl::HeapOffset> offs;
+                for (int i = 0; i < 4; i++) {
+                    offs.push_back(a[i]);
+                    offs.push_back(b[i]);
+                    offs.push_back(rig.alloc.allocate(*t2, 64));
+                }
+                for (cxl::HeapOffset p : offs) {
+                    ASSERT_NE(p, 0u);
+                }
+                t2->arm_crash(point, countdown);
+                try {
+                    rig.alloc.deallocate_batch(
+                        *t2, offs.data(),
+                        static_cast<std::uint32_t>(offs.size()));
+                    t2->disarm_crash();
+                    completed = true;
+                } catch (const ThreadCrashed&) {
+                    crashes++;
+                    cxl::ThreadId tid = t2->tid();
+                    rig.pod.mark_crashed(std::move(t2), severity);
+                    t2 = rig.pod.adopt_thread(rig.process, tid);
+                    if (point == cxlalloc::crashpoint::kMidBatchStage &&
+                        countdown >= 3) {
+                        // A retry round staged over its own tags; the
+                        // record is still the previous round's batch
+                        // (round 1's serial local frees log FreeLocal, so
+                        // round 2 finds that instead).
+                        EXPECT_EQ(rig.alloc.pending_record(*t2).op,
+                                  cxlalloc::Op::FreeRemoteBatch);
+                    }
+                    rig.alloc.recover(*t2);
+                }
+                rig.alloc.check_invariants(t2->mem());
+                rig.alloc.check_local_invariants(t2->mem());
+                // The test still holds a[4..31] and b[4..63].
+                EXPECT_GE(counter_of(rig, t1->mem(), a[0]), 28u)
+                    << "point " << point << " countdown " << countdown;
+                EXPECT_GE(counter_of(rig, t1->mem(), b[0]), 60u)
+                    << "point " << point << " countdown " << countdown;
+                // Exactly four decrements per slab when the call completed.
+                if (completed) {
+                    EXPECT_EQ(counter_of(rig, t1->mem(), a[0]), 28u);
+                    EXPECT_EQ(counter_of(rig, t1->mem(), b[0]), 60u);
+                }
+                rig.pod.release_thread(std::move(t1));
+                rig.pod.release_thread(std::move(t2));
+            }
+            // Four rounds (one per duplicate) reach every batch point at
+            // least four times; kAfterRecord also fires in the serial
+            // local frees.
+            EXPECT_GE(crashes, 4u) << "point " << point;
         }
     }
 }
