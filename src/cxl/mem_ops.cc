@@ -503,25 +503,9 @@ MemSession::publish_metrics(obs::MetricsRegistry& registry) const
             sh.add(registry.counter(name), value);
         }
     };
-    pub("mem.loads", c.loads);
-    pub("mem.stores", c.stores);
-    pub("mem.flushes", c.flushes);
-    pub("mem.flushed_lines", c.flushed_lines);
-    pub("mem.fences", c.fences);
-    pub("mem.cas_ops", c.cas_ops);
-    pub("mem.cas_failures", c.cas_failures);
-    pub("mem.mcas_ops", c.mcas_ops);
-    pub("mem.mcas_conflicts", c.mcas_conflicts);
-    pub("mem.mcas_batches", c.mcas_batches);
-    pub("mem.mcas_batch_ops", c.mcas_batch_ops);
-    pub("mem.faults", c.faults);
-    pub("mem.tlb_hits", c.tlb_hits);
-    pub("mem.tlb_misses", c.tlb_misses);
-    pub("pod.local_ops", c.pod_local);
-    pub("pod.remote_ops", c.pod_remote);
-    pub("pod.dram_ops", c.pod_dram);
-    pub("pod.edge_down_ops", c.pod_edge_down);
-    pub("mem.nmp_stall_escalations", c.nmp_stall_escalations);
+#define CXL_MEM_PUB(field, metric) pub(metric, c.field);
+    CXL_MEM_EVENT_COUNTERS(CXL_MEM_PUB)
+#undef CXL_MEM_PUB
     pub("cache.evictions", cache_.evictions());
     pub("mem.sim_ns", sim_ns_);
     if (mcas_round_trip_ns_.count() != 0) {

@@ -25,7 +25,7 @@
 
 #include "common/assert.h"
 #include "common/cacheline.h"
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxl/cache_model.h"
 #include "cxl/device.h"
 #include "cxl/latency_model.h"
@@ -53,71 +53,64 @@ bool edge_down_panics();
 /// kNmpStallRetryLimit * McasBackoff::kMaxNs * 1.5 of simulated wait).
 inline constexpr std::uint32_t kNmpStallRetryLimit = 10;
 
+/// Every MemSession event counter, defined once as X(field, metric). The
+/// MemEventCounters fields, its operator+= and MemSession::
+/// publish_metrics all expand this list, in this order.
+#define CXL_MEM_EVENT_COUNTERS(X)                                              \
+    /* Line-granular access counts: a bulk read/write of N cachelines          \
+       counts N (matching the per-line latency it is charged), a word          \
+       access counts 1. */                                                     \
+    X(loads, "mem.loads")                                                      \
+    X(stores, "mem.stores")                                                    \
+    /* flush() calls (one per invocation, however many lines it covers). */    \
+    X(flushes, "mem.flushes")                                                  \
+    /* Cachelines actually written back/invalidated by those flushes —         \
+       the per-line cost the fence-elision work optimizes. flush_dirty()       \
+       adds only the lines it really flushed. */                               \
+    X(flushed_lines, "mem.flushed_lines")                                      \
+    X(fences, "mem.fences")                                                    \
+    X(cas_ops, "mem.cas_ops")                                                  \
+    X(cas_failures, "mem.cas_failures")                                        \
+    X(mcas_ops, "mem.mcas_ops")                                                \
+    X(mcas_conflicts, "mem.mcas_conflicts")                                    \
+    /* Batched doorbells rung (each is one device round trip). */              \
+    X(mcas_batches, "mem.mcas_batches")                                        \
+    /* Operands carried by those doorbells (occupancy = ops / batches). */     \
+    X(mcas_batch_ops, "mem.mcas_batch_ops")                                    \
+    X(faults, "mem.faults")                                                    \
+    /* Accesses whose mapping check was answered by the session TLB. */        \
+    X(tlb_hits, "mem.tlb_hits")                                                \
+    /* Accesses that had to consult the mapping guard. */                      \
+    X(tlb_misses, "mem.tlb_misses")                                            \
+    /* Pod routing split (sessions with set_pod_routing only): accesses to     \
+       the session host's home device vs any other device. One event per       \
+       access (not per line) — the placement-policy signal, not a latency      \
+       proxy. */                                                               \
+    X(pod_local, "pod.local_ops")                                              \
+    X(pod_remote, "pod.remote_ops")                                            \
+    /* Accesses routed to a host-private local-DRAM window (MemTier::          \
+       LocalDram edges) — the tiering win the migrator optimizes for. */       \
+    X(pod_dram, "pod.dram_ops")                                                \
+    /* Accesses rejected with EdgeDownError (statically unreachable or         \
+       runtime-Down edge) — the degraded-mode signal fault_storm budgets. */   \
+    X(pod_edge_down, "pod.edge_down_ops")                                      \
+    /* Doorbell retry ladders that exhausted their bound against a stalled     \
+       NMP engine and escalated to an NmpStallError device-failure             \
+       report. */                                                              \
+    X(nmp_stall_escalations, "mem.nmp_stall_escalations")
+
 /// Event counts for one thread's session.
 struct MemEventCounters {
-    /// Line-granular access counts: a bulk read/write of N cachelines
-    /// counts N (matching the per-line latency it is charged), a word
-    /// access counts 1.
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    /// flush() calls (one per invocation, however many lines it covers).
-    std::uint64_t flushes = 0;
-    /// Cachelines actually written back/invalidated by those flushes —
-    /// the per-line cost the fence-elision work optimizes. flush_dirty()
-    /// adds only the lines it really flushed.
-    std::uint64_t flushed_lines = 0;
-    std::uint64_t fences = 0;
-    std::uint64_t cas_ops = 0;
-    std::uint64_t cas_failures = 0;
-    std::uint64_t mcas_ops = 0;
-    std::uint64_t mcas_conflicts = 0;
-    /// Batched doorbells rung (each is one device round trip).
-    std::uint64_t mcas_batches = 0;
-    /// Operands carried by those doorbells (occupancy = ops / batches).
-    std::uint64_t mcas_batch_ops = 0;
-    std::uint64_t faults = 0;
-    /// Accesses whose mapping check was answered by the session TLB.
-    std::uint64_t tlb_hits = 0;
-    /// Accesses that had to consult the mapping guard.
-    std::uint64_t tlb_misses = 0;
-    /// Pod routing split (sessions with set_pod_routing only): accesses to
-    /// the session host's home device vs any other device. One event per
-    /// access (not per line) — the placement-policy signal, not a latency
-    /// proxy.
-    std::uint64_t pod_local = 0;
-    std::uint64_t pod_remote = 0;
-    /// Accesses routed to a host-private local-DRAM window (MemTier::
-    /// LocalDram edges) — the tiering win the migrator optimizes for.
-    std::uint64_t pod_dram = 0;
-    /// Accesses rejected with EdgeDownError (statically unreachable or
-    /// runtime-Down edge) — the degraded-mode signal fault_storm budgets.
-    std::uint64_t pod_edge_down = 0;
-    /// Doorbell retry ladders that exhausted their bound against a stalled
-    /// NMP engine and escalated to an NmpStallError device-failure report.
-    std::uint64_t nmp_stall_escalations = 0;
+#define CXL_MEM_FIELD(field, metric) std::uint64_t field = 0;
+    CXL_MEM_EVENT_COUNTERS(CXL_MEM_FIELD)
+#undef CXL_MEM_FIELD
 
     MemEventCounters&
     operator+=(const MemEventCounters& o)
     {
-        loads += o.loads;
-        stores += o.stores;
-        flushes += o.flushes;
-        flushed_lines += o.flushed_lines;
-        fences += o.fences;
-        cas_ops += o.cas_ops;
-        cas_failures += o.cas_failures;
-        mcas_ops += o.mcas_ops;
-        mcas_conflicts += o.mcas_conflicts;
-        mcas_batches += o.mcas_batches;
-        mcas_batch_ops += o.mcas_batch_ops;
-        faults += o.faults;
-        tlb_hits += o.tlb_hits;
-        tlb_misses += o.tlb_misses;
-        pod_local += o.pod_local;
-        pod_remote += o.pod_remote;
-        pod_dram += o.pod_dram;
-        pod_edge_down += o.pod_edge_down;
-        nmp_stall_escalations += o.nmp_stall_escalations;
+#define CXL_MEM_ADD(field, metric) field += o.field;
+        CXL_MEM_EVENT_COUNTERS(CXL_MEM_ADD)
+#undef CXL_MEM_ADD
         return *this;
     }
 };
@@ -559,7 +552,7 @@ class MemSession {
     void
     note_dirty(HeapOffset offset, std::uint64_t len)
     {
-        if (cxlcommon::test_faults::skip_dirty_line_tracking) {
+        if (cxlcommon::defect::skip_dirty_line_tracking) {
             return;
         }
         std::uint64_t first = cxlcommon::line_of(offset);

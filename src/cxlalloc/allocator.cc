@@ -159,19 +159,7 @@ CxlAllocator::deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset)
 {
     CXL_ASSERT(offset != 0, "freeing null offset");
     ThreadState& ts = state_of(ctx);
-    if (inst_.registry == nullptr) {
-        if (small_.contains(offset)) {
-            small_.deallocate(ctx, ts, offset);
-        } else if (large_.contains(offset)) {
-            large_.deallocate(ctx, ts, offset);
-        } else if (huge_.contains(offset)) {
-            huge_.deallocate(ctx, ts, offset);
-        } else {
-            CXL_FATAL("free of offset outside any heap region");
-        }
-        return;
-    }
-    std::uint64_t t0 = obs::now_ns();
+    std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
     bool remote = false;
     bool huge = false;
     if (small_.contains(offset)) {
@@ -183,6 +171,9 @@ CxlAllocator::deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset)
         huge = true;
     } else {
         CXL_FATAL("free of offset outside any heap region");
+    }
+    if (inst_.registry == nullptr) {
+        return;
     }
     std::uint64_t dt = obs::now_ns() - t0;
     obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());

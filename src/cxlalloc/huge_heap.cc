@@ -256,26 +256,35 @@ HugeHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     ctx.maybe_crash(crashpoint::kMidHugeAlloc);
     link_desc(mem, index);
 
-    // Hazard-offset rule 1: publish before mapping. A full row means this
-    // thread holds its configured maximum of concurrent mappings; reclaim
-    // freed ones and retry before failing the allocation.
-    if (hazards_.try_publish(mem, start) == cxlsync::HazardOffsets::kNoSlot) {
-        cleanup(ctx, ts);
-        if (hazards_.try_publish(mem, start) ==
-            cxlsync::HazardOffsets::kNoSlot) {
-            // Roll the allocation back: unlink + free the descriptor and
-            // return the address space.
-            unlink_desc(mem, index);
-            mem.store<std::uint32_t>(desc(index) + HugeDescField::kFlags, 0);
-            publish_desc(mem, index);
-            ts.free_descs.push_back(index);
-            ts.huge_free.insert(start, size);
-            return 0;
-        }
+    if (!publish_or_revoke(ctx, ts, index, start)) {
+        ts.free_descs.push_back(index);
+        ts.huge_free.insert(start, size);
+        return 0;
     }
     ctx.maybe_crash(crashpoint::kMidHugeMap);
     ctx.process().install_mapping(start, size);
     return start;
+}
+
+bool
+HugeHeap::publish_or_revoke(pod::ThreadContext& ctx, ThreadState& ts,
+                            std::uint32_t index, cxl::HeapOffset start)
+{
+    // Hazard-offset rule 1: publish before mapping. A full row means this
+    // thread holds its configured maximum of concurrent mappings; reclaim
+    // freed ones and retry before failing the allocation.
+    cxl::MemSession& mem = ctx.mem();
+    if (hazards_.try_publish(mem, start) != cxlsync::HazardOffsets::kNoSlot) {
+        return true;
+    }
+    cleanup(ctx, ts);
+    if (hazards_.try_publish(mem, start) != cxlsync::HazardOffsets::kNoSlot) {
+        return true;
+    }
+    unlink_desc(mem, index);
+    mem.store<std::uint32_t>(desc(index) + HugeDescField::kFlags, 0);
+    publish_desc(mem, index);
+    return false;
 }
 
 void
@@ -505,8 +514,12 @@ HugeHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             link_desc(mem, index);
         }
         std::uint64_t start = desc_offset(mem, index);
-        if (!hazards_.is_published(mem, start)) {
-            hazards_.publish(mem, start);
+        if (!hazards_.is_published(mem, start) &&
+            !publish_or_revoke(ctx, ts, index, start)) {
+            // Hazard row full: rolled back, as the uninterrupted allocate
+            // would have been. The caller's rebuild_thread_state returns
+            // the descriptor and address space to the free pools.
+            break;
         }
         ctx.process().install_mapping(start, desc_size(mem, index));
         break;

@@ -110,6 +110,14 @@ class HugeHeap {
     /// Unlinks descriptor @p index from the calling thread's list.
     void unlink_desc(cxl::MemSession& mem, std::uint32_t index);
 
+    /// Publishes the hazard for the new allocation at @p start (descriptor
+    /// @p index, linked), running cleanup once if the row is full. If it
+    /// stays full, unlinks and frees the descriptor on the device and
+    /// returns false; returning the descriptor and range to @p ts is the
+    /// caller's job.
+    bool publish_or_revoke(pod::ThreadContext& ctx, ThreadState& ts,
+                           std::uint32_t index, cxl::HeapOffset start);
+
     bool on_desc_list(cxl::MemSession& mem, cxl::ThreadId tid,
                       std::uint32_t index);
     void link_desc(cxl::MemSession& mem, std::uint32_t index);

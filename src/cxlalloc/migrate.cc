@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 #include "sync/detectable_cas.h"
 
 namespace cxlalloc {
@@ -23,18 +23,19 @@ void
 register_migrate_crash_points()
 {
     namespace mp = migratepoint;
-    auto& reg = pod::CrashPointRegistry::instance();
-    reg.add(mp::kAfterArm, "migrate.after_arm",
+    constexpr auto kCrash = cxlcommon::PointKind::Crash;
+    auto& reg = cxlcommon::PointRegistry::instance();
+    reg.add(mp::kAfterArm, kCrash, "migrate.after_arm",
             "HotSlabMigrator::migrate_one (record armed)");
-    reg.add(mp::kAfterAlloc, "migrate.after_alloc",
+    reg.add(mp::kAfterAlloc, kCrash, "migrate.after_alloc",
             "HotSlabMigrator::migrate_one (target alloced)");
-    reg.add(mp::kAfterCopy, "migrate.after_copy",
+    reg.add(mp::kAfterCopy, kCrash, "migrate.after_copy",
             "HotSlabMigrator::migrate_one (payload copied)");
-    reg.add(mp::kAfterVersion, "migrate.after_version",
+    reg.add(mp::kAfterVersion, kCrash, "migrate.after_version",
             "HotSlabMigrator::migrate_one (publish version durable)");
-    reg.add(mp::kAfterPublish, "migrate.after_publish",
+    reg.add(mp::kAfterPublish, kCrash, "migrate.after_publish",
             "HotSlabMigrator::migrate_one (cell CAS issued)");
-    reg.add(mp::kMidFree, "migrate.mid_free",
+    reg.add(mp::kMidFree, kCrash, "migrate.mid_free",
             "HotSlabMigrator::free_loser (free staged)");
 }
 

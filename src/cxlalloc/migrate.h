@@ -87,7 +87,7 @@ inline constexpr int kMidFree = 35;      ///< free staged, not performed
 
 } // namespace migratepoint
 
-/// Registers the migration crash points with pod::CrashPointRegistry
+/// Registers the migration crash points with cxlcommon::PointRegistry
 /// (idempotent; called by the HotSlabMigrator constructor).
 void register_migrate_crash_points();
 

@@ -1,34 +1,36 @@
 #include "cxlalloc/recovery.h"
 
 #include "common/assert.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 
 namespace cxlalloc {
 
 void
 register_crash_points()
 {
-    using pod::CrashPointRegistry;
-    CrashPointRegistry& reg = CrashPointRegistry::instance();
     namespace cp = crashpoint;
-    reg.add(cp::kAfterRecord, "slab.after_record", "SlabHeap (record logged)");
-    reg.add(cp::kMidInit, "slab.mid_init", "SlabHeap::init_slab");
-    reg.add(cp::kAfterDcas, "slab.after_dcas", "SlabHeap (dcas applied)");
-    reg.add(cp::kMidSteal, "slab.mid_steal", "SlabHeap::free_remote");
-    reg.add(cp::kMidDetach, "slab.mid_detach", "SlabHeap::detach_full");
-    reg.add(cp::kMidFreeLocal, "slab.mid_free_local", "SlabHeap::free_local");
-    reg.add(cp::kMidPushGlobal, "slab.mid_push_global",
-            "SlabHeap::push_global_one");
-    reg.add(cp::kMidHugeAlloc, "huge.mid_alloc", "HugeHeap::allocate");
-    reg.add(cp::kMidHugeMap, "huge.mid_map", "HugeHeap::map_region");
-    reg.add(cp::kMidHugeFree, "huge.mid_free", "HugeHeap::deallocate");
-    reg.add(cp::kMidAlloc, "slab.mid_alloc", "SlabHeap::allocate");
-    reg.add(cp::kMidBatchStage, "slab.mid_batch_stage",
-            "SlabHeap::deallocate_batch");
-    reg.add(cp::kMidBatchDoorbell, "slab.mid_batch_doorbell",
-            "SlabHeap::deallocate_batch");
-    reg.add(cp::kMidBatchDrain, "slab.mid_batch_drain",
-            "SlabHeap::deallocate_batch");
+    auto add = [](cxlcommon::PointId id, const char* name, const char* site) {
+        cxlcommon::PointRegistry::instance().add(
+            id, cxlcommon::PointKind::Crash, name, site);
+    };
+    add(cp::kAfterRecord, "slab.after_record", "SlabHeap (record logged)");
+    add(cp::kMidInit, "slab.mid_init", "SlabHeap::init_slab");
+    add(cp::kAfterDcas, "slab.after_dcas", "SlabHeap (dcas applied)");
+    add(cp::kMidSteal, "slab.mid_steal", "SlabHeap::free_remote");
+    add(cp::kMidDetach, "slab.mid_detach", "SlabHeap::detach_full");
+    add(cp::kMidFreeLocal, "slab.mid_free_local", "SlabHeap::free_local");
+    add(cp::kMidPushGlobal, "slab.mid_push_global",
+        "SlabHeap::push_global_one");
+    add(cp::kMidHugeAlloc, "huge.mid_alloc", "HugeHeap::allocate");
+    add(cp::kMidHugeMap, "huge.mid_map", "HugeHeap::map_region");
+    add(cp::kMidHugeFree, "huge.mid_free", "HugeHeap::deallocate");
+    add(cp::kMidAlloc, "slab.mid_alloc", "SlabHeap::allocate");
+    add(cp::kMidBatchStage, "slab.mid_batch_stage",
+        "SlabHeap::deallocate_batch");
+    add(cp::kMidBatchDoorbell, "slab.mid_batch_doorbell",
+        "SlabHeap::deallocate_batch");
+    add(cp::kMidBatchDrain, "slab.mid_batch_drain",
+        "SlabHeap::deallocate_batch");
 }
 
 const char*

@@ -53,7 +53,7 @@
 #include <array>
 #include <cstdint>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxl/mem_ops.h"
 #include "cxlalloc/layout.h"
 
@@ -131,7 +131,7 @@ class RecoveryLog {
         }
         cxl::HeapOffset row = layout_->recovery_row(mem.tid());
         mem.store<std::uint64_t>(row, record.pack());
-        if (cxlcommon::test_faults::skip_record_publish_flush) {
+        if (cxlcommon::defect::skip_record_publish_flush) {
             // Deliberately-broken variant: defer where deferral is NOT
             // sound. RecordFlushOracle must catch the dirty row at the
             // next DcasTry.
@@ -225,7 +225,7 @@ inline constexpr int kMidBatchDrain = 14;  ///< doorbell rung, results not drain
 
 } // namespace crashpoint
 
-/// Registers the allocator's crash points with pod::CrashPointRegistry
+/// Registers the allocator's crash points with cxlcommon::PointRegistry
 /// (idempotent; called by the Allocator constructor, callable directly by
 /// tools that never build an allocator).
 void register_crash_points();

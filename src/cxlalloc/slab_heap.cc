@@ -5,7 +5,7 @@
 
 #include "common/assert.h"
 #include "common/cacheline.h"
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "pod/pod.h"
 #include "pod/process.h"
 
@@ -950,7 +950,7 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
                                       .version = ver,
                                       .index = slab});
         // Ownership transfers to whoever pops: flush + fence first.
-        if (!cxlcommon::test_faults::skip_swcc_publish_flush) {
+        if (!cxlcommon::defect::skip_swcc_publish_flush) {
             flush_desc(mem, slab);
         } else {
             // Fault isolation: skip only the DESCRIPTOR flush. The record
@@ -1142,7 +1142,10 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         // redo state is the thread's NMP operand ring, which is device
         // memory and survived the crash. Snapshot it, release it (the
         // serial redo path below posts its own operands and requires an
-        // empty ring), then redo every decrement that never landed.
+        // empty ring), then redo every decrement that never landed. Each
+        // slot's own state says whether it did: did_succeed cannot, since
+        // a foreign CAS displacing a LATER operand's tag moves help[t]
+        // past the versions of earlier operands that failed.
         cxl::Nmp& nmp = ctx.process().pod().nmp();
         cxl::NmpSlotView views[cxl::kNmpRingSlots];
         std::uint32_t live =
@@ -1162,9 +1165,10 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
                 (v.op.target - hwcc_base_) / 8);
             CXL_ASSERT(DcasWord::tid(v.op.swap) == mem.tid(),
                        "foreign operand in adopted ring");
-            std::uint16_t ver = DcasWord::version(v.op.swap);
-            if (!dcas_->did_succeed(mem, v.op.target, ver)) {
-                // The decrement never landed: redo it serially.
+            bool landed = v.state == cxl::NmpSlotState::Executed &&
+                          v.result.success;
+            if (!landed) {
+                // Never rung, or failed at the doorbell: redo serially.
                 free_remote(ctx, ts, s);
             }
             // else: it landed with a counter >= 1 by construction (final

@@ -242,14 +242,22 @@ struct RunResult {
     }
 };
 
-/// Runs @p body once per thread (each on its own pod process when
-/// @p process_per_thread) and aggregates results. @p body returns the
-/// number of operations it performed.
+/// Per-worker body: returns the number of operations it performed.
+using WorkerBody =
+    std::function<std::uint64_t(pod::ThreadContext&, std::uint32_t)>;
+
+/// The run loop under run_threads and run_pod_threads: spawns @p nthreads
+/// OS threads, each running @p body on the context @p spawn makes for its
+/// worker index (on that thread), then joins them and aggregates ops, the
+/// critical-path sim_ns, event counters and the heap footprint. Each
+/// session's counters and run.ops are published when bundle metrics are
+/// on. hwcc_bytes is left to the caller.
 inline RunResult
-run_threads(Bundle& b, std::uint32_t nthreads,
-            const std::function<std::uint64_t(pod::ThreadContext&,
-                                              std::uint32_t)>& body,
-            bool process_per_thread = false)
+run_workers(pod::Pod& pod, baselines::PodAllocator& alloc,
+            std::uint32_t nthreads,
+            const std::function<std::unique_ptr<pod::ThreadContext>(
+                std::uint32_t)>& spawn,
+            const WorkerBody& body)
 {
     std::vector<std::thread> workers;
     std::vector<std::uint64_t> ops(nthreads, 0);
@@ -258,14 +266,7 @@ run_threads(Bundle& b, std::uint32_t nthreads,
     auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t w = 0; w < nthreads; w++) {
         workers.emplace_back([&, w] {
-            pod::Process* proc = b.process;
-            if (process_per_thread) {
-                proc = b.pod->create_process();
-                if (b.cxl_heap != nullptr) {
-                    b.cxl_heap->attach(*proc);
-                }
-            }
-            auto ctx = b.thread(proc);
+            auto ctx = spawn(w);
             ops[w] = body(*ctx, w);
             sim[w] = ctx->mem().sim_ns();
             events[w] = ctx->mem().counters();
@@ -273,7 +274,7 @@ run_threads(Bundle& b, std::uint32_t nthreads,
                 ctx->mem().publish_metrics(*reg);
                 reg->shard(ctx->tid()).add(reg->counter("run.ops"), ops[w]);
             }
-            b.pod->release_thread(std::move(ctx));
+            pod.release_thread(std::move(ctx));
         });
     }
     for (auto& th : workers) {
@@ -292,8 +293,30 @@ run_threads(Bundle& b, std::uint32_t nthreads,
         reg->set_gauge(reg->gauge("run.sim_ns_max"),
                        static_cast<double>(r.sim_ns));
     }
-    r.committed_bytes = b.pod->device().committed_bytes();
-    r.metadata_bytes = b.alloc->metadata_overhead_bytes();
+    r.committed_bytes = pod.device().committed_bytes();
+    r.metadata_bytes = alloc.metadata_overhead_bytes();
+    return r;
+}
+
+/// Runs @p body once per thread (each on its own pod process when
+/// @p process_per_thread) and aggregates results.
+inline RunResult
+run_threads(Bundle& b, std::uint32_t nthreads, const WorkerBody& body,
+            bool process_per_thread = false)
+{
+    RunResult r = run_workers(
+        *b.pod, *b.alloc, nthreads,
+        [&](std::uint32_t) {
+            pod::Process* proc = b.process;
+            if (process_per_thread) {
+                proc = b.pod->create_process();
+                if (b.cxl_heap != nullptr) {
+                    b.cxl_heap->attach(*proc);
+                }
+            }
+            return b.thread(proc);
+        },
+        body);
     auto probe = b.thread();
     r.hwcc_bytes = b.alloc->hwcc_bytes(probe->mem());
     b.pod->release_thread(std::move(probe));
@@ -449,44 +472,15 @@ run_pod_threads(PodBundle& b, std::uint32_t hosts,
                                                   pod::HostId,
                                                   std::uint32_t)>& body)
 {
-    std::uint32_t nthreads = hosts * threads_per_host;
-    std::vector<std::thread> workers;
-    std::vector<std::uint64_t> ops(nthreads, 0);
-    std::vector<std::uint64_t> sim(nthreads, 0);
-    std::vector<cxl::MemEventCounters> events(nthreads);
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t w = 0; w < nthreads; w++) {
-        workers.emplace_back([&, w] {
-            auto host = static_cast<pod::HostId>(w / threads_per_host);
-            auto ctx = b.thread(host);
-            ops[w] = body(*ctx, host, w);
-            sim[w] = ctx->mem().sim_ns();
-            events[w] = ctx->mem().counters();
-            if (obs::MetricsRegistry* reg = bundle_metrics()) {
-                ctx->mem().publish_metrics(*reg);
-                reg->shard(ctx->tid()).add(reg->counter("run.ops"), ops[w]);
-            }
-            b.pod->release_thread(std::move(ctx));
+    auto host_of = [&](std::uint32_t w) {
+        return static_cast<pod::HostId>(w / threads_per_host);
+    };
+    RunResult r = run_workers(
+        *b.pod, *b.alloc, hosts * threads_per_host,
+        [&](std::uint32_t w) { return b.thread(host_of(w)); },
+        [&](pod::ThreadContext& ctx, std::uint32_t w) {
+            return body(ctx, host_of(w), w);
         });
-    }
-    for (auto& th : workers) {
-        th.join();
-    }
-    RunResult r;
-    r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-    for (std::uint32_t w = 0; w < nthreads; w++) {
-        r.ops += ops[w];
-        r.sim_ns = std::max(r.sim_ns, sim[w]);
-        r.events += events[w];
-    }
-    if (obs::MetricsRegistry* reg = bundle_metrics()) {
-        reg->set_gauge(reg->gauge("run.sim_ns_max"),
-                       static_cast<double>(r.sim_ns));
-    }
-    r.committed_bytes = b.pod->device().committed_bytes();
-    r.metadata_bytes = b.alloc->metadata_overhead_bytes();
     r.hwcc_bytes = b.heap->hwcc_bytes();
     return r;
 }

@@ -4,19 +4,21 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 
 namespace memento {
 
 void
 register_map_crash_points()
 {
-    pod::CrashPointRegistry& reg = pod::CrashPointRegistry::instance();
-    reg.add(mcrash::kMapAfterAlloc, "map.after_alloc",
+    constexpr auto kCrash = cxlcommon::PointKind::Crash;
+    auto& reg = cxlcommon::PointRegistry::instance();
+    reg.add(mcrash::kMapAfterAlloc, kCrash, "map.after_alloc",
             "RecoverableMap::insert");
-    reg.add(mcrash::kMapAfterRecord, "map.after_record",
+    reg.add(mcrash::kMapAfterRecord, kCrash, "map.after_record",
             "RecoverableMap::insert");
-    reg.add(mcrash::kMapAfterLink, "map.after_link", "RecoverableMap::insert");
+    reg.add(mcrash::kMapAfterLink, kCrash, "map.after_link",
+            "RecoverableMap::insert");
 }
 
 RecoverableMap::RecoverableMap(pod::Pod& pod, cxl::HeapOffset meta,

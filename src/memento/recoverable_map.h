@@ -19,7 +19,7 @@ inline constexpr int kMapAfterRecord = 111;
 inline constexpr int kMapAfterLink = 112;
 } // namespace mcrash
 
-/// Registers the map's crash points with pod::CrashPointRegistry
+/// Registers the map's crash points with cxlcommon::PointRegistry
 /// (idempotent; also called by the RecoverableMap constructor).
 void register_map_crash_points();
 

@@ -3,20 +3,22 @@
 #include <cstring>
 
 #include "common/assert.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 
 namespace memento {
 
 void
 register_queue_crash_points()
 {
-    pod::CrashPointRegistry& reg = pod::CrashPointRegistry::instance();
-    reg.add(qcrash::kAfterAlloc, "queue.after_alloc",
+    constexpr auto kCrash = cxlcommon::PointKind::Crash;
+    auto& reg = cxlcommon::PointRegistry::instance();
+    reg.add(qcrash::kAfterAlloc, kCrash, "queue.after_alloc",
             "RecoverableQueue::push");
-    reg.add(qcrash::kAfterRecord, "queue.after_record",
+    reg.add(qcrash::kAfterRecord, kCrash, "queue.after_record",
             "RecoverableQueue::push");
-    reg.add(qcrash::kAfterLink, "queue.after_link", "RecoverableQueue::push");
-    reg.add(qcrash::kAfterUnlink, "queue.after_unlink",
+    reg.add(qcrash::kAfterLink, kCrash, "queue.after_link",
+            "RecoverableQueue::push");
+    reg.add(qcrash::kAfterUnlink, kCrash, "queue.after_unlink",
             "RecoverableQueue::pop");
 }
 

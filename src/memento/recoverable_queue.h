@@ -30,7 +30,7 @@ inline constexpr int kAfterLink = 102;   ///< linked, op record still open
 inline constexpr int kAfterUnlink = 103; ///< popped, object not yet freed
 } // namespace qcrash
 
-/// Registers the queue's crash points with pod::CrashPointRegistry
+/// Registers the queue's crash points with cxlcommon::PointRegistry
 /// (idempotent; also called by the RecoverableQueue constructor).
 void register_queue_crash_points();
 

@@ -1,8 +1,6 @@
 #include "pod/faults.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 
 #include "common/assert.h"
 #include "pod/pod.h"
@@ -10,100 +8,21 @@
 
 namespace pod {
 
-namespace {
-std::mutex g_mu;
-
-/// Node-based so pointers handed out by find() survive later add() calls
-/// (same storage discipline as crashpoint.cc).
-std::map<FaultPointId, FaultPointInfo>&
-points()
-{
-    static std::map<FaultPointId, FaultPointInfo> map;
-    return map;
-}
-} // namespace
-
-FaultPointRegistry&
-FaultPointRegistry::instance()
-{
-    static FaultPointRegistry registry;
-    return registry;
-}
-
-void
-FaultPointRegistry::add(FaultPointId id, std::string_view name,
-                        std::string_view site)
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    auto [it, inserted] = points().try_emplace(
-        id, FaultPointInfo{id, std::string(name), std::string(site)});
-    if (!inserted) {
-        CXL_ASSERT(it->second.name == name,
-                   "fault point id registered twice with different names");
-    }
-}
-
-const FaultPointInfo*
-FaultPointRegistry::find(FaultPointId id) const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    auto it = points().find(id);
-    return it != points().end() ? &it->second : nullptr;
-}
-
-const FaultPointInfo*
-FaultPointRegistry::find_name(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    for (const auto& [id, info] : points())
-        if (info.name == name)
-            return &info;
-    return nullptr;
-}
-
-std::vector<FaultPointInfo>
-FaultPointRegistry::all() const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    std::vector<FaultPointInfo> out;
-    out.reserve(points().size());
-    for (const auto& [id, info] : points())
-        out.push_back(info);
-    return out;
-}
-
-std::string
-fault_point_name(FaultPointId id)
-{
-    const FaultPointInfo* info = FaultPointRegistry::instance().find(id);
-    return info != nullptr ? info->name : "faultpoint:" + std::to_string(id);
-}
-
 void
 register_fault_points()
 {
-    FaultPointRegistry& r = FaultPointRegistry::instance();
-    r.add(faultpoint::kEdgeDown, "fault.edge_down",
-          "Topology::set_edge_state(Down)");
-    r.add(faultpoint::kEdgeFlap, "fault.edge_flap",
-          "Topology::set_edge_state(Down..Up)");
-    r.add(faultpoint::kNmpStall, "fault.nmp_stall", "Nmp::inject_stall");
-    r.add(faultpoint::kNmpDelay, "fault.nmp_delay", "Nmp::inject_delay");
-    r.add(faultpoint::kHostKill, "fault.host_kill",
-          "FaultInjector::host_killed");
-}
-
-FaultPointId
-fault_point_of(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::EdgeDown: return faultpoint::kEdgeDown;
-    case FaultKind::EdgeFlap: return faultpoint::kEdgeFlap;
-    case FaultKind::NmpStall: return faultpoint::kNmpStall;
-    case FaultKind::NmpDelay: return faultpoint::kNmpDelay;
-    case FaultKind::HostKill: return faultpoint::kHostKill;
-    }
-    CXL_PANIC("unknown fault kind");
+    auto add = [](FaultKind kind, const char* name, const char* site) {
+        cxlcommon::PointRegistry::instance().add(
+            static_cast<cxlcommon::PointId>(kind),
+            cxlcommon::PointKind::Fault, name, site);
+    };
+    add(FaultKind::EdgeDown, "fault.edge_down",
+        "Topology::set_edge_state(Down)");
+    add(FaultKind::EdgeFlap, "fault.edge_flap",
+        "Topology::set_edge_state(Down..Up)");
+    add(FaultKind::NmpStall, "fault.nmp_stall", "Nmp::inject_stall");
+    add(FaultKind::NmpDelay, "fault.nmp_delay", "Nmp::inject_delay");
+    add(FaultKind::HostKill, "fault.host_kill", "FaultInjector::host_killed");
 }
 
 // ------------------------------------------------------------- FaultPlan
@@ -155,24 +74,29 @@ FaultPlan::host_kill(HostId host, std::uint64_t at_step)
 }
 
 FaultPlan
-FaultPlan::for_point(FaultPointId point, HostId host, cxl::DeviceId device,
-                     std::uint64_t at_step)
+FaultPlan::for_point(cxlcommon::PointId point, HostId host,
+                     cxl::DeviceId device, std::uint64_t at_step)
 {
-    FaultPlan plan;
-    switch (point) {
-    case faultpoint::kEdgeDown:
-        return plan.edge_down(host, device, at_step);
-    case faultpoint::kEdgeFlap:
-        return plan.edge_flap(host, device, at_step, /*down_for=*/4);
-    case faultpoint::kNmpStall:
-        return plan.nmp_stall(at_step, /*doorbells=*/2);
-    case faultpoint::kNmpDelay:
-        return plan.nmp_delay(at_step, /*extra_ns=*/500, /*doorbells=*/2);
-    case faultpoint::kHostKill:
-        return plan.host_kill(host, at_step);
-    default:
+    register_fault_points();
+    const cxlcommon::PointInfo* info =
+        cxlcommon::PointRegistry::instance().find(point);
+    if (info == nullptr || info->kind != cxlcommon::PointKind::Fault) {
         CXL_PANIC("FaultPlan::for_point: unknown fault point");
     }
+    FaultPlan plan;
+    switch (static_cast<FaultKind>(point)) {
+    case FaultKind::EdgeDown:
+        return plan.edge_down(host, device, at_step);
+    case FaultKind::EdgeFlap:
+        return plan.edge_flap(host, device, at_step, /*down_for=*/4);
+    case FaultKind::NmpStall:
+        return plan.nmp_stall(at_step, /*doorbells=*/2);
+    case FaultKind::NmpDelay:
+        return plan.nmp_delay(at_step, /*extra_ns=*/500, /*doorbells=*/2);
+    case FaultKind::HostKill:
+        return plan.host_kill(host, at_step);
+    }
+    CXL_PANIC("FaultPlan::for_point: fault point without a FaultKind");
 }
 
 // --------------------------------------------------------- FaultInjector
@@ -210,8 +134,8 @@ FaultInjector::fire(const FaultEvent& event)
     // The hook makes the fault a schedule point: under the explorer, WHEN
     // this fires relative to every other thread's yields is part of the
     // explored interleaving space.
-    sched::hook(sched::Op::CrashPoint,
-                static_cast<std::uint64_t>(fault_point_of(event.kind)), 1);
+    sched::hook(sched::Op::CrashPoint, 0,
+                static_cast<std::uint64_t>(event.kind));
     const Topology& topo = pod_.topology();
     switch (event.kind) {
     case FaultKind::EdgeDown:
@@ -248,9 +172,8 @@ FaultInjector::step()
     // Flap recoveries due this step (firing can append, so index loop).
     for (std::size_t i = 0; i < recovers_.size();) {
         if (recovers_[i].at_step <= now_) {
-            sched::hook(sched::Op::CrashPoint,
-                        static_cast<std::uint64_t>(faultpoint::kEdgeFlap),
-                        0);
+            sched::hook(sched::Op::CrashPoint, 0,
+                        static_cast<std::uint64_t>(FaultKind::EdgeFlap));
             pod_.topology().set_edge_state(recovers_[i].host,
                                            recovers_[i].device,
                                            cxl::EdgeState::Up);

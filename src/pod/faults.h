@@ -1,24 +1,24 @@
 /// @file
 /// Deterministic pod fault injection: declarative FaultPlans (edge-down,
-/// edge-flap, NMP doorbell stall/delay, host-kill) driven by a step clock,
-/// plus the central fault-point registry mirroring pod/crashpoint.h.
+/// edge-flap, NMP doorbell stall/delay, host-kill) driven by a step clock.
 ///
-/// Where the crashpoint registry names the *protocol* points a thread can
-/// die at, the fault-point registry names the *infrastructure* faults the
-/// pod must survive: link health transitions, engine stalls, whole-host
-/// deaths. Sweep tests iterate FaultPointRegistry::all() and inject every
-/// point mid-workload (FaultPlan::for_point), asserting the accounting
-/// oracles hold after recovery — exactly the discipline the crashpoint
-/// sweeps established for §5.1 thread crashes.
+/// Where crash points name the *protocol* points a thread can die at,
+/// fault points (PointKind::Fault in common/points.h) name the
+/// *infrastructure* faults the pod must survive: link health transitions,
+/// engine stalls, whole-host deaths. Sweep tests iterate
+/// PointRegistry::all(PointKind::Fault) and inject every point
+/// mid-workload (FaultPlan::for_point), asserting the accounting oracles
+/// hold after recovery — exactly the discipline the crash point sweeps
+/// established for §5.1 thread crashes.
 ///
 /// Determinism and sched composability: a FaultInjector owns a logical
 /// step clock advanced by the workload (step() between operations), so a
 /// plan's events fire at exact, replayable points in the op stream — no
-/// wall-clock, no racing timer thread. Every firing passes through
-/// sched::hook with the fault point id, so under the schedule explorer a
-/// fault is one more yield the explorer can order against every other
-/// thread's yields: "every fault at any chosen yield" falls out of the
-/// explorer's existing interleaving search.
+/// wall-clock, no racing timer thread. Every firing (and every flap
+/// recovery) passes through sched::hook(Op::CrashPoint, 0, id), so under
+/// the schedule explorer a fault is one more yield the explorer can order
+/// against every other thread's yields: "every fault at any chosen yield"
+/// falls out of the explorer's existing interleaving search.
 ///
 /// The injector *applies* edge and NMP faults directly (they are pure
 /// state flips on the shared Topology health table / Nmp engine). A
@@ -33,10 +33,9 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/points.h"
 #include "cxl/types.h"
 #include "pod/topology.h"
 
@@ -44,71 +43,20 @@ namespace pod {
 
 class Pod;
 
-/// Identifies one injectable fault site. Same id discipline as
-/// CrashPointId: plain ints in a global namespace, registered by name.
-using FaultPointId = int;
-
-struct FaultPointInfo {
-    FaultPointId id = 0;
-    /// Stable dotted name, e.g. "fault.edge_down".
-    std::string name;
-    /// Human-readable site, e.g. "Topology::set_edge_state(Down)".
-    std::string site;
+/// The injectable fault kinds. Each enumerator is the id of its
+/// registered fault point (the 50-69 block of the common/points.h id
+/// space).
+enum class FaultKind : cxlcommon::PointId {
+    EdgeDown = 50, ///< (host, device) edge -> Down, no scheduled recovery
+    EdgeFlap = 51, ///< edge -> Down, back -> Up after recover_after steps
+    NmpStall = 52, ///< next `count` working doorbells unanswered
+    NmpDelay = 53, ///< next `count` doorbells answered `delay_ns` late
+    HostKill = 54, ///< host dies: harness crashes its threads, leases stop
 };
 
-/// Process-wide fault-point registry; mirrors CrashPointRegistry
-/// (idempotent add, conflicting re-registration aborts, node-stable
-/// storage).
-class FaultPointRegistry {
-  public:
-    static FaultPointRegistry& instance();
-
-    void add(FaultPointId id, std::string_view name, std::string_view site);
-
-    /// Null if the id was never registered.
-    const FaultPointInfo* find(FaultPointId id) const;
-
-    /// Null if no point has this name.
-    const FaultPointInfo* find_name(std::string_view name) const;
-
-    /// Every registered point, sorted by id.
-    std::vector<FaultPointInfo> all() const;
-
-  private:
-    FaultPointRegistry() = default;
-};
-
-/// Registered name of @p id, or "faultpoint:<id>" for unknown points.
-std::string fault_point_name(FaultPointId id);
-
-/// The pod-level fault points. Ids 50+ keep clear of the allocator's
-/// crashpoints (single digits), memento's app points, and the migrator's
-/// 30-35 block — fault ids ride the same sched::Op::CrashPoint hook aux
-/// channel, so the spaces must not collide.
-namespace faultpoint {
-
-inline constexpr FaultPointId kEdgeDown = 50; ///< edge drops, stays Down
-inline constexpr FaultPointId kEdgeFlap = 51; ///< edge drops, later recovers
-inline constexpr FaultPointId kNmpStall = 52; ///< doorbells unanswered
-inline constexpr FaultPointId kNmpDelay = 53; ///< doorbells answered slowly
-inline constexpr FaultPointId kHostKill = 54; ///< whole host dies
-
-} // namespace faultpoint
-
-/// Registers the pod fault points with FaultPointRegistry (idempotent;
-/// called by the FaultInjector constructor).
+/// Registers one PointKind::Fault point per FaultKind (idempotent;
+/// called by the FaultInjector constructor and FaultPlan::for_point).
 void register_fault_points();
-
-/// The injectable fault kinds, one per registered fault point.
-enum class FaultKind : std::uint8_t {
-    EdgeDown, ///< (host, device) edge -> Down, no scheduled recovery
-    EdgeFlap, ///< edge -> Down, back -> Up after recover_after steps
-    NmpStall, ///< next `count` working doorbells unanswered
-    NmpDelay, ///< next `count` doorbells answered `delay_ns` late
-    HostKill, ///< host dies: harness crashes its threads, leases stop
-};
-
-FaultPointId fault_point_of(FaultKind kind);
 
 /// One scripted fault of a FaultPlan.
 struct FaultEvent {
@@ -144,8 +92,9 @@ struct FaultPlan {
 
     /// Sweep helper: the canonical single-event plan for a registered
     /// fault point (sane defaults: flaps recover after 4 steps, stalls
-    /// cover 2 doorbells, delays add 500 ns). Aborts on unknown ids.
-    static FaultPlan for_point(FaultPointId point, HostId host,
+    /// cover 2 doorbells, delays add 500 ns). Aborts unless @p point is
+    /// registered as PointKind::Fault.
+    static FaultPlan for_point(cxlcommon::PointId point, HostId host,
                                cxl::DeviceId device, std::uint64_t at_step);
 };
 

@@ -7,10 +7,10 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/points.h"
 #include "common/random.h"
 #include "cxl/mem_ops.h"
 #include "cxl/types.h"
-#include "pod/crashpoint.h"
 #include "sched/hook.h"
 
 namespace pod {
@@ -25,9 +25,9 @@ struct ThreadCrashed {
     int point;
 };
 
-// CrashPointId and its registry (id -> name, site) live in
-// pod/crashpoint.h; layers register their points there so sweeps and
-// tools can iterate them by name instead of magic numbers.
+// Crash point ids and their names live in common/points.h; layers
+// register their points there (PointKind::Crash) so sweeps and tools can
+// iterate them by name instead of magic numbers.
 
 /// A thread attached to a process. Create via Pod::create_thread (fresh
 /// slot) or Pod::adopt_thread (recovery of a crashed slot).
@@ -45,7 +45,7 @@ class ThreadContext {
     /// Arms a deterministic (white-box) crash: the @p countdown-th time
     /// execution reaches @p point, ThreadCrashed is thrown.
     void
-    arm_crash(CrashPointId point, std::uint32_t countdown = 1)
+    arm_crash(cxlcommon::PointId point, std::uint32_t countdown = 1)
     {
         armed_point_ = point;
         countdown_ = countdown;
@@ -71,7 +71,7 @@ class ThreadContext {
     /// Instrumentation hook placed at every recoverable step boundary in
     /// the allocator. Throws ThreadCrashed when an armed crash fires.
     void
-    maybe_crash(CrashPointId point)
+    maybe_crash(cxlcommon::PointId point)
     {
         sched::hook(sched::Op::CrashPoint, 0, static_cast<std::uint64_t>(point));
         if (point == armed_point_ && --countdown_ == 0) {
@@ -89,7 +89,7 @@ class ThreadContext {
     cxl::ThreadId tid_;
     cxl::MemSession mem_;
 
-    CrashPointId armed_point_ = -1;
+    cxlcommon::PointId armed_point_ = -1;
     std::uint32_t countdown_ = 0;
     double random_prob_ = 0;
     std::optional<cxlcommon::Xoshiro> crash_rng_;

@@ -38,7 +38,8 @@ enum class Op : std::uint8_t {
     McasPost,     ///< operand staged into the NMP ring (target addr)
     McasDoorbell, ///< doorbell rung (aux = operands executed)
     McasPoll,     ///< completion harvested
-    CrashPoint,   ///< ThreadContext::maybe_crash site (aux = point id)
+    CrashPoint,   ///< crash point reached or pod fault fired
+                  ///< (aux = common/points.h id)
     DcasTry,      ///< detectable-CAS attempt begins (addr, desired value)
     DcasHelp,     ///< displaced owner's success recorded (aux = tid)
     HazardPublish, ///< hazard offset published (aux = offset)

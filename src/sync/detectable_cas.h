@@ -76,20 +76,20 @@ inline constexpr std::uint16_t kSelfHelpSlack = 256;
 /// kSelfHelpSlack. Soundness:
 ///  1. A displaced self tag (t, v') belongs to a CAS of t that succeeded;
 ///     t is now installing a newer version v.
-///  2. did_succeed is queried only for versions named by t's CURRENT
-///     record; for Op::FreeRemoteBatch, that means the operands still in
-///     t's NMP ring.
+///  2. did_succeed is queried only for the version named by t's CURRENT
+///     record.
 ///  3. Every caller logs a new record naming v before a CAS with a new
 ///     version v, so once t installs v, v' is no longer named. The one
 ///     exception is SlabHeap::deallocate_batch's stage(), which runs
-///     before that round's record is logged — but only while the ring is
-///     empty (the previous round was fully polled), so the previous
-///     record names no operand that can still be queried. Hence (t, v')
-///     is never queried again.
+///     before that round's record is logged. Its operand executes only
+///     at the doorbell, after the record is logged; until then the word
+///     still holds (t, v'), so an older record's query reads the tag
+///     itself. Hence (t, v') is never queried again once displaced.
 ///  4. The clients agree: the slab heap (PopGlobal, Extend, FreeRemote,
-///     PushGlobal log per attempt; FreeRemoteBatch asks only about ring
-///     operands), the huge heap (HugeReserve logs per attempt; its
-///     recovery reads the region owner, not did_succeed), migrate cells
+///     PushGlobal log per attempt; FreeRemoteBatch recovery reads each
+///     ring slot's result and never asks), the huge heap (HugeReserve
+///     logs per attempt; its recovery reads the region owner, not
+///     did_succeed), migrate cells
 ///     (the row's v_pub is queried only while the row sits in Publish,
 ///     before t touches the cell again) and the memento queue (its own
 ///     DetectableCas; one record per push, one per pop attempt). The

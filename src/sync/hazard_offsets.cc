@@ -2,7 +2,7 @@
 
 #include "common/assert.h"
 #include "common/cacheline.h"
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "sched/hook.h"
 
 namespace cxlsync {
@@ -17,7 +17,7 @@ HazardOffsets::try_publish(cxl::MemSession& mem, cxl::HeapOffset offset)
             mem.store<std::uint64_t>(at, offset);
             // Huge-heap SWcc rule: flush + fence after every write so other
             // hosts observe the hazard before we install the mapping.
-            if (!cxlcommon::test_faults::skip_hazard_publish_flush) {
+            if (!cxlcommon::defect::skip_hazard_publish_flush) {
                 mem.flush(at, 8);
                 mem.fence();
             }

@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxl/mem_ops.h"
 
 namespace {
@@ -389,10 +389,7 @@ TEST(MemOpsEdge, DisabledDirtyTrackingDegradesButStillPublishes)
     // flush_dirty believes nothing is dirty and elides everything. The
     // litmus suite proves this is CAUGHT (publish-undertracked); here we
     // just pin the mechanism the fault relies on.
-    struct FaultGuard {
-        ~FaultGuard() { cxlcommon::test_faults::reset(); }
-    } guard;
-    cxlcommon::test_faults::skip_dirty_line_tracking = true;
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipDirtyLineTracking);
 
     Rig rig(CoherenceMode::PartialHwcc, /*sim=*/true);
     MemSession s = rig.session(1);

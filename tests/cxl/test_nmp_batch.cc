@@ -7,10 +7,12 @@
 #include "cxl/nmp.h"
 
 #include <gtest/gtest.h>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "../cxlalloc/fixture.h"
+#include "sched/hook.h"
 
 namespace {
 
@@ -601,6 +603,90 @@ TEST(DeallocateBatchCrash, RetryRoundSweep)
             EXPECT_GE(crashes, 4u) << "point " << point;
         }
     }
+}
+
+
+/// Runs @p action once, the first time the calling OS thread reaches a
+/// hook of kind @p op on @p addr. Hooks dispatch with the listener
+/// cleared, so the action's own memory operations do not re-enter it.
+class OnHook : public sched::Listener {
+  public:
+    OnHook(sched::Op op, std::uint64_t addr, std::function<void()> action)
+        : op_(op), addr_(addr), action_(std::move(action))
+    {
+        sched::t_listener = this;
+    }
+    ~OnHook() override { sched::t_listener = nullptr; }
+    OnHook(const OnHook&) = delete;
+    OnHook& operator=(const OnHook&) = delete;
+
+    void
+    on_event(const sched::Event& event) override
+    {
+        if (event.op == op_ && event.addr == addr_ && action_) {
+            std::function<void()> action = std::move(action_);
+            action_ = nullptr;
+            action();
+        }
+    }
+
+  private:
+    sched::Op op_;
+    std::uint64_t addr_;
+    std::function<void()> action_;
+};
+
+TEST(DeallocateBatchCrash, FailedOperandIsRedoneDespiteALaterDisplacedTag)
+{
+    // A two-operand batch whose FIRST operand fails and whose second
+    // lands; after the crash a foreign free displaces the second's tag,
+    // which moves help[t2] past the first operand's version. Recovery
+    // must still redo the failed decrement: it reads each ring slot's
+    // result instead of asking did_succeed about either version.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread(); // owns both victim slabs
+    auto t2 = rig.thread(); // batch-frees and crashes mid-drain
+    auto t3 = rig.thread(); // foreign remote freer
+    std::vector<cxl::HeapOffset> a, b;
+    for (int i = 0; i < 32; i++) {
+        a.push_back(rig.alloc.allocate(*t1, 1024));
+        b.push_back(rig.alloc.allocate(*t1, 512));
+        b.push_back(rig.alloc.allocate(*t1, 512));
+    }
+    std::uint32_t a_before = counter_of(rig, t1->mem(), a[0]);
+    std::uint32_t b_before = counter_of(rig, t1->mem(), b[0]);
+
+    {
+        // t3 frees a[1] after t2 staged a[0]'s decrement but before t2
+        // posts it, so that operand fails at the doorbell; b[0]'s lands.
+        auto slab = static_cast<std::uint32_t>(
+            (a[0] - rig.alloc.layout().small_data()) /
+            cxlalloc::kSmallSlabSize);
+        OnHook interfere(sched::Op::McasPost,
+                         rig.alloc.layout().small_hwcc_desc(slab),
+                         [&] { rig.alloc.deallocate(*t3, a[1]); });
+        t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
+        cxl::HeapOffset batch[2] = {a[0], b[0]};
+        EXPECT_THROW(rig.alloc.deallocate_batch(*t2, batch, 2),
+                     ThreadCrashed);
+    }
+    ASSERT_EQ(counter_of(rig, t1->mem(), a[0]), a_before - 1);
+    ASSERT_EQ(counter_of(rig, t1->mem(), b[0]), b_before - 1);
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+
+    // t3's CAS on b's counter displaces t2's tag and records help[t2].
+    rig.alloc.deallocate(*t3, b[1]);
+
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    rig.alloc.check_invariants(t2->mem());
+    EXPECT_EQ(counter_of(rig, t1->mem(), a[0]), a_before - 2)
+        << "the failed decrement of a[0] was lost";
+    EXPECT_EQ(counter_of(rig, t1->mem(), b[0]), b_before - 2);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
 }
 
 } // namespace

@@ -371,6 +371,44 @@ TEST(CrashRecovery, CrashDuringHugeAllocCompletesAllocation)
     rig.pod.release_thread(std::move(t));
 }
 
+TEST(CrashRecovery, CrashDuringHugeAllocWithAFullHazardRowRollsBack)
+{
+    // Eight live huge allocations fill the thread's eight hazard slots, so
+    // a ninth allocation rolls itself back. Recovery of one interrupted
+    // after its descriptor landed must roll it back the same way, not
+    // abort on the full hazard row.
+    Rig rig;
+    auto t = rig.thread();
+    std::vector<cxl::HeapOffset> live;
+    for (int i = 0; i < 8; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*t, 1 << 20);
+        ASSERT_NE(p, 0u);
+        live.push_back(p);
+    }
+    EXPECT_EQ(rig.alloc.allocate(*t, 1 << 20), 0u) << "hazard row not full";
+    auto live_before = rig.alloc.stats(t->mem()).huge.live_allocations;
+
+    bool crashed = crash_and_recover(
+        rig, t, [&](pod::ThreadContext& c) { rig.alloc.allocate(c, 1 << 20); },
+        kMidHugeAlloc);
+    ASSERT_TRUE(crashed);
+    rig.alloc.check_invariants(t->mem());
+    EXPECT_EQ(rig.alloc.stats(t->mem()).huge.live_allocations, live_before);
+
+    // Freeing one allocation frees a hazard slot for the next one.
+    rig.alloc.deallocate(*t, live.back());
+    live.pop_back();
+    rig.alloc.cleanup(*t);
+    cxl::HeapOffset p = rig.alloc.allocate(*t, 1 << 20);
+    ASSERT_NE(p, 0u);
+    live.push_back(p);
+    for (cxl::HeapOffset q : live) {
+        rig.alloc.deallocate(*t, q);
+    }
+    rig.alloc.check_invariants(t->mem());
+    rig.pod.release_thread(std::move(t));
+}
+
 TEST(CrashRecovery, CrashDuringHugeFreeCompletesFree)
 {
     Rig rig;

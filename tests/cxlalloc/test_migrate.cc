@@ -14,7 +14,7 @@
 
 #include "cxlalloc/migrate.h"
 #include "cxlalloc/size_class.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 #include "pod/pod.h"
 #include "pod/topology.h"
 #include "sync/detectable_cas.h"
@@ -367,13 +367,14 @@ TEST(Migrate, RunEpochPromotesHotDemotesColdAndDecaysHeat)
 
 /// Every "migrate.*" crash point, pulled from the central registry so new
 /// points widen the sweep automatically.
-std::vector<pod::CrashPointInfo>
+std::vector<cxlcommon::PointInfo>
 migrate_crash_points()
 {
     cxlalloc::register_migrate_crash_points();
-    std::vector<pod::CrashPointInfo> points;
-    for (const pod::CrashPointInfo& info :
-         pod::CrashPointRegistry::instance().all()) {
+    std::vector<cxlcommon::PointInfo> points;
+    for (const cxlcommon::PointInfo& info :
+         cxlcommon::PointRegistry::instance().all(
+             cxlcommon::PointKind::Crash)) {
         if (info.name.rfind("migrate.", 0) == 0) {
             points.push_back(info);
         }
@@ -383,9 +384,9 @@ migrate_crash_points()
 
 TEST(MigrateCrash, EveryCrashPointRecoversWithExactBlockAccounting)
 {
-    std::vector<pod::CrashPointInfo> points = migrate_crash_points();
+    std::vector<cxlcommon::PointInfo> points = migrate_crash_points();
     ASSERT_GE(points.size(), 6u);
-    for (const pod::CrashPointInfo& point : points) {
+    for (const cxlcommon::PointInfo& point : points) {
         SCOPED_TRACE(point.name);
         TieredWorld w(/*dram_percent=*/0);
         auto ctx = w.thread();

@@ -23,13 +23,10 @@ using cxl::EdgeState;
 using cxlalloc::PodShardedAllocator;
 using pod::FaultInjector;
 using pod::FaultPlan;
-using pod::FaultPointInfo;
-using pod::FaultPointRegistry;
 using pod::HostId;
 using pod::Pod;
 using pod::PodConfig;
 using pod::Topology;
-namespace faultpoint = pod::faultpoint;
 
 EdgeCost
 far_edge()
@@ -278,11 +275,9 @@ TEST(PodDegraded, BatchFreeParksOnlyTheDownPortion)
 TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
 {
     pod::register_fault_points();
-    for (const FaultPointInfo& info : FaultPointRegistry::instance().all()) {
-        if (info.id < faultpoint::kEdgeDown ||
-            info.id > faultpoint::kHostKill) {
-            continue; // crashpoint ids live in other registries' sweeps
-        }
+    for (const cxlcommon::PointInfo& info :
+         cxlcommon::PointRegistry::instance().all(
+             cxlcommon::PointKind::Fault)) {
         SCOPED_TRACE(info.name);
 
         DegradedWorld w;
@@ -290,7 +285,8 @@ TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
         auto c1 = w.thread(1);
         // Edge faults degrade host 0's view of device 1; the kill takes
         // host 1, so the surviving worker always drives recovery.
-        HostId victim = info.id == faultpoint::kHostKill ? 1 : 0;
+        auto kind = static_cast<pod::FaultKind>(info.id);
+        HostId victim = kind == pod::FaultKind::HostKill ? 1 : 0;
         FaultInjector inj(*w.pod,
                           FaultPlan::for_point(info.id, victim,
                                                /*device=*/1, /*at_step=*/4));

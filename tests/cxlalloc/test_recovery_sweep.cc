@@ -9,7 +9,7 @@
 
 #include "common/random.h"
 #include "fixture.h"
-#include "pod/crashpoint.h"
+#include "common/points.h"
 
 namespace {
 
@@ -18,14 +18,15 @@ using pod::ThreadCrashed;
 
 /// Every allocator-layer crash point, pulled from the central registry so
 /// new points widen the sweep automatically (`cxlalloc_inspect
-/// --list-crashpoints` prints the same inventory).
+/// --list-points` prints the same inventory).
 std::vector<int>
 allocator_crash_points()
 {
     cxlalloc::register_crash_points();
     std::vector<int> points;
-    for (const pod::CrashPointInfo& info :
-         pod::CrashPointRegistry::instance().all()) {
+    for (const cxlcommon::PointInfo& info :
+         cxlcommon::PointRegistry::instance().all(
+             cxlcommon::PointKind::Crash)) {
         const std::string& name = info.name;
         if (name.rfind("slab.", 0) == 0 || name.rfind("huge.", 0) == 0) {
             points.push_back(info.id);

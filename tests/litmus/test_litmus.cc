@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxl/litmus/litmus.h"
 #include "sched/explorer.h"
 
@@ -220,8 +220,7 @@ TEST(Litmus, WeakenedMpWarmSkipRefetchCaught)
 /// "descriptor" can be observed stale. Guards the DirtyLineSet itself.
 TEST(Litmus, WeakenedPublishUndertrackedCaught)
 {
-    cxlcommon::test_faults::reset();
-    cxlcommon::test_faults::skip_dirty_line_tracking = true;
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipDirtyLineTracking);
 
     Shape s;
     s.name = "publish-undertracked";
@@ -250,7 +249,6 @@ TEST(Litmus, WeakenedPublishUndertrackedCaught)
         return "";
     };
     expect_caught_and_replayed(s, random_opts(14, 400));
-    cxlcommon::test_faults::reset();
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /// @file
-/// Pod fault-injection framework: the fault-point registry (mirroring the
-/// crashpoint registry's discipline), FaultPlan builders and the
+/// Pod fault-injection framework: the fault points in the injection-point
+/// registry (common/points.h), FaultPlan builders and the
 /// for_point sweep helper, and the deterministic FaultInjector step clock
 /// applied to a live 2x2 pod — edge health flips on the shared topology
 /// table, NMP stall/delay arming on the engine, host-kill latching.
@@ -18,16 +18,17 @@
 namespace {
 
 using cxl::EdgeState;
+using cxlcommon::PointId;
+using cxlcommon::PointInfo;
+using cxlcommon::PointKind;
+using cxlcommon::PointRegistry;
 using pod::FaultEvent;
 using pod::FaultInjector;
 using pod::FaultKind;
 using pod::FaultPlan;
-using pod::FaultPointInfo;
-using pod::FaultPointRegistry;
 using pod::Pod;
 using pod::PodConfig;
 using pod::Topology;
-namespace faultpoint = pod::faultpoint;
 
 cxl::EdgeCost
 far_edge()
@@ -59,28 +60,35 @@ struct FaultPod {
 };
 
 // ---------------------------------------------------------------------------
-// Fault-point registry
+// Fault points in the injection-point registry
+
+PointId
+id_of(FaultKind kind)
+{
+    return static_cast<PointId>(kind);
+}
 
 TEST(FaultRegistry, RegistersEveryPodPointIdempotently)
 {
     pod::register_fault_points();
     pod::register_fault_points(); // second call must be a no-op
 
-    const FaultPointRegistry& reg = FaultPointRegistry::instance();
-    const FaultPointInfo* down = reg.find(faultpoint::kEdgeDown);
+    const PointRegistry& reg = PointRegistry::instance();
+    const PointInfo* down = reg.find(id_of(FaultKind::EdgeDown));
     ASSERT_NE(down, nullptr);
     EXPECT_EQ(down->name, "fault.edge_down");
-    ASSERT_NE(reg.find(faultpoint::kEdgeFlap), nullptr);
-    ASSERT_NE(reg.find(faultpoint::kNmpStall), nullptr);
-    ASSERT_NE(reg.find(faultpoint::kNmpDelay), nullptr);
-    const FaultPointInfo* kill = reg.find(faultpoint::kHostKill);
+    EXPECT_EQ(down->kind, PointKind::Fault);
+    ASSERT_NE(reg.find(id_of(FaultKind::EdgeFlap)), nullptr);
+    ASSERT_NE(reg.find(id_of(FaultKind::NmpStall)), nullptr);
+    ASSERT_NE(reg.find(id_of(FaultKind::NmpDelay)), nullptr);
+    const PointInfo* kill = reg.find(id_of(FaultKind::HostKill));
     ASSERT_NE(kill, nullptr);
     EXPECT_EQ(kill->name, "fault.host_kill");
     EXPECT_FALSE(kill->site.empty());
 
-    const FaultPointInfo* by_name = reg.find_name("fault.nmp_stall");
+    const PointInfo* by_name = reg.find_name("fault.nmp_stall");
     ASSERT_NE(by_name, nullptr);
-    EXPECT_EQ(by_name->id, faultpoint::kNmpStall);
+    EXPECT_EQ(by_name->id, id_of(FaultKind::NmpStall));
 
     EXPECT_EQ(reg.find(999), nullptr);
     EXPECT_EQ(reg.find_name("fault.no_such_point"), nullptr);
@@ -89,36 +97,47 @@ TEST(FaultRegistry, RegistersEveryPodPointIdempotently)
 TEST(FaultRegistry, AllIsSortedById)
 {
     pod::register_fault_points();
-    std::vector<FaultPointInfo> all = FaultPointRegistry::instance().all();
+    std::vector<PointInfo> all = PointRegistry::instance().all();
     ASSERT_GE(all.size(), 5u);
     for (std::size_t i = 1; i < all.size(); i++) {
         EXPECT_LT(all[i - 1].id, all[i].id);
     }
-    // The five pod points all appear.
-    std::uint32_t seen = 0;
-    for (const FaultPointInfo& info : all) {
-        if (info.id >= faultpoint::kEdgeDown &&
-            info.id <= faultpoint::kHostKill) {
-            seen++;
-        }
+    // The five pod points are exactly the fault kind, also sorted.
+    std::vector<PointInfo> faults =
+        PointRegistry::instance().all(PointKind::Fault);
+    ASSERT_EQ(faults.size(), 5u);
+    EXPECT_EQ(faults.front().id, id_of(FaultKind::EdgeDown));
+    EXPECT_EQ(faults.back().id, id_of(FaultKind::HostKill));
+    for (const PointInfo& info : faults) {
+        EXPECT_EQ(info.kind, PointKind::Fault) << info.name;
     }
-    EXPECT_EQ(seen, 5u);
 }
 
 TEST(FaultRegistry, NameLookupFallsBackForUnknownIds)
 {
     pod::register_fault_points();
-    EXPECT_EQ(pod::fault_point_name(faultpoint::kEdgeFlap),
+    EXPECT_EQ(cxlcommon::point_name(id_of(FaultKind::EdgeFlap)),
               "fault.edge_flap");
-    EXPECT_EQ(pod::fault_point_name(999), "faultpoint:999");
+    EXPECT_EQ(cxlcommon::point_name(999), "point:999");
 }
 
 TEST(FaultRegistryDeathTest, ConflictingReRegistrationDies)
 {
     pod::register_fault_points();
-    EXPECT_DEATH(FaultPointRegistry::instance().add(
-                     faultpoint::kEdgeDown, "fault.renamed", "elsewhere"),
+    EXPECT_DEATH(PointRegistry::instance().add(id_of(FaultKind::EdgeDown),
+                                               PointKind::Fault,
+                                               "fault.renamed", "elsewhere"),
                  "different names");
+}
+
+TEST(FaultRegistryDeathTest, ReRegistrationUnderAnotherKindDies)
+{
+    // Same id and name, other kind: the id partition is enforced.
+    pod::register_fault_points();
+    EXPECT_DEATH(PointRegistry::instance().add(id_of(FaultKind::EdgeDown),
+                                               PointKind::Crash,
+                                               "fault.edge_down", "elsewhere"),
+                 "different kinds");
 }
 
 TEST(FaultRegistry, EveryKindMapsToARegisteredPoint)
@@ -127,9 +146,9 @@ TEST(FaultRegistry, EveryKindMapsToARegisteredPoint)
     for (FaultKind kind :
          {FaultKind::EdgeDown, FaultKind::EdgeFlap, FaultKind::NmpStall,
           FaultKind::NmpDelay, FaultKind::HostKill}) {
-        const FaultPointInfo* info =
-            FaultPointRegistry::instance().find(pod::fault_point_of(kind));
+        const PointInfo* info = PointRegistry::instance().find(id_of(kind));
         ASSERT_NE(info, nullptr);
+        EXPECT_EQ(info->kind, PointKind::Fault);
     }
 }
 
@@ -171,26 +190,23 @@ TEST(FaultPlan, ForPointCoversEveryRegisteredPointWithSaneDefaults)
     // The sweep contract: iterate the registry, get a one-event plan per
     // point. Unknown ids abort (tested below), so a point added without a
     // for_point arm cannot silently produce an empty sweep entry.
-    for (const FaultPointInfo& info : FaultPointRegistry::instance().all()) {
-        if (info.id < faultpoint::kEdgeDown ||
-            info.id > faultpoint::kHostKill) {
-            continue;
-        }
+    for (const PointInfo& info :
+         PointRegistry::instance().all(PointKind::Fault)) {
         FaultPlan plan = FaultPlan::for_point(info.id, 0, 1, 6);
         ASSERT_EQ(plan.events.size(), 1u) << info.name;
-        EXPECT_EQ(pod::fault_point_of(plan.events[0].kind), info.id);
+        EXPECT_EQ(id_of(plan.events[0].kind), info.id);
         EXPECT_EQ(plan.events[0].at_step, 6u);
     }
-    EXPECT_EQ(FaultPlan::for_point(faultpoint::kEdgeFlap, 0, 0, 1)
+    EXPECT_EQ(FaultPlan::for_point(id_of(FaultKind::EdgeFlap), 0, 0, 1)
                   .events[0]
                   .recover_after,
               4u);
-    EXPECT_EQ(FaultPlan::for_point(faultpoint::kNmpStall, 0, 0, 1)
+    EXPECT_EQ(FaultPlan::for_point(id_of(FaultKind::NmpStall), 0, 0, 1)
                   .events[0]
                   .count,
               2u);
-    const FaultEvent& delay =
-        FaultPlan::for_point(faultpoint::kNmpDelay, 0, 0, 1).events[0];
+    FaultEvent delay =
+        FaultPlan::for_point(id_of(FaultKind::NmpDelay), 0, 0, 1).events[0];
     EXPECT_EQ(delay.delay_ns, 500u);
     EXPECT_EQ(delay.count, 2u);
 }
@@ -198,6 +214,14 @@ TEST(FaultPlan, ForPointCoversEveryRegisteredPointWithSaneDefaults)
 TEST(FaultPlanDeathTest, ForPointUnknownIdDies)
 {
     EXPECT_DEATH(FaultPlan::for_point(999, 0, 0, 1), "unknown fault point");
+}
+
+TEST(FaultPlanDeathTest, ForPointRejectsPointsOfAnotherKind)
+{
+    // A registered id of another kind is not a fault either.
+    EXPECT_DEATH(FaultPlan::for_point(
+                     cxlcommon::defect::kSkipSwccPublishFlush, 0, 0, 1),
+                 "unknown fault point");
 }
 
 TEST(FaultPlanDeathTest, ZeroLengthFlapDies)

@@ -13,7 +13,7 @@
 #include <memory>
 #include <string>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
 #include "sync/hazard_offsets.h"
@@ -154,10 +154,7 @@ TEST(SchedHazard, SkippedPublishFlushIsCaughtAndReplays)
     // single PCT change point (depth 2) landing on the deref demotes the
     // reader exactly there. A second change point would fire mid-scan and
     // wake the reader early, so depth 2, not 3.
-    struct FaultGuard {
-        ~FaultGuard() { cxlcommon::test_faults::reset(); }
-    } guard;
-    cxlcommon::test_faults::skip_hazard_publish_flush = true;
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipHazardPublishFlush);
     auto totals = std::make_shared<Totals>();
     Options opt;
     opt.strategy = Strategy::Pct;

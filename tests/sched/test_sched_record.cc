@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxlalloc/allocator.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
@@ -138,10 +138,7 @@ TEST(SchedRecord, DeferredRecordsAreDurableBeforeEveryCas)
 
 TEST(SchedRecord, UnsoundDeferralIsCaughtAndReplaysBitForBit)
 {
-    struct FaultGuard {
-        ~FaultGuard() { cxlcommon::test_faults::reset(); }
-    } guard;
-    cxlcommon::test_faults::skip_record_publish_flush = true;
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipRecordPublishFlush);
 
     auto cas_tries = std::make_shared<std::uint64_t>(0);
     Options opt;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/test_faults.h"
+#include "common/points.h"
 #include "cxlalloc/allocator.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
@@ -154,10 +154,7 @@ TEST(SchedSwcc, CorrectProtocolFlushesBeforeEveryPublish)
 
 TEST(SchedSwcc, SkippedPublishFlushIsCaughtAndReplaysBitForBit)
 {
-    struct FaultGuard {
-        ~FaultGuard() { cxlcommon::test_faults::reset(); }
-    } guard;
-    cxlcommon::test_faults::skip_swcc_publish_flush = true;
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipSwccPublishFlush);
 
     auto publishes = std::make_shared<std::uint64_t>(0);
     Options opt;

@@ -1,64 +1,45 @@
 /// @file
 /// Introspection CLI for the simulator's instrumentation inventory.
 ///
-///   cxlalloc_inspect --list-crashpoints
-///   cxlalloc_inspect --list-faultpoints
+///   cxlalloc_inspect --list-points
 ///
-/// prints every registered crash-injection (resp. pod fault-injection)
-/// point as `id<TAB>name<TAB>site`, one per line, sorted by id. Sweep
+/// prints every registered injection point (common/points.h) as
+/// `id<TAB>kind<TAB>name<TAB>site`, one per line, sorted by id. Kinds are
+/// `crash` (where a *thread* can die mid-protocol), `fault` (which
+/// *infrastructure* failures a storm can inject: edge down/flap, NMP
+/// stall/delay, host kill; see pod/faults.h) and `defect` (deliberately
+/// broken protocol variants the explorer's oracles must catch). Sweep
 /// scripts iterate this instead of hard-coding point numbers, so adding a
-/// point to any layer automatically widens every sweep — crash points
-/// cover where a *thread* can die mid-protocol, fault points cover which
-/// *infrastructure* failures (edge down/flap, NMP stall/delay, host kill)
-/// a storm can inject (see pod/faults.h).
+/// point to any layer automatically widens every sweep.
 
 #include <cstring>
 #include <iostream>
 
+#include "common/points.h"
 #include "cxlalloc/migrate.h"
 #include "cxlalloc/recovery.h"
 #include "memento/recoverable_map.h"
 #include "memento/recoverable_queue.h"
-#include "pod/crashpoint.h"
 #include "pod/faults.h"
 
 namespace {
 
 int
-list_crashpoints()
+list_points()
 {
     // Pull in every layer's points without building heaps.
     cxlalloc::register_crash_points();
     cxlalloc::register_migrate_crash_points();
     memento::register_queue_crash_points();
     memento::register_map_crash_points();
-
-    for (const pod::CrashPointInfo& point :
-         pod::CrashPointRegistry::instance().all()) {
-        std::cout << point.id << '\t' << point.name << '\t' << point.site
-                  << '\n';
-    }
-    return 0;
-}
-
-int
-list_faultpoints()
-{
     pod::register_fault_points();
 
-    for (const pod::FaultPointInfo& point :
-         pod::FaultPointRegistry::instance().all()) {
-        std::cout << point.id << '\t' << point.name << '\t' << point.site
-                  << '\n';
+    for (const cxlcommon::PointInfo& point :
+         cxlcommon::PointRegistry::instance().all()) {
+        std::cout << point.id << '\t' << cxlcommon::to_string(point.kind)
+                  << '\t' << point.name << '\t' << point.site << '\n';
     }
     return 0;
-}
-
-void
-usage(const char* argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " --list-crashpoints | --list-faultpoints\n";
 }
 
 } // namespace
@@ -66,12 +47,9 @@ usage(const char* argv0)
 int
 main(int argc, char** argv)
 {
-    if (argc == 2 && std::strcmp(argv[1], "--list-crashpoints") == 0) {
-        return list_crashpoints();
+    if (argc == 2 && std::strcmp(argv[1], "--list-points") == 0) {
+        return list_points();
     }
-    if (argc == 2 && std::strcmp(argv[1], "--list-faultpoints") == 0) {
-        return list_faultpoints();
-    }
-    usage(argv[0]);
+    std::cerr << "usage: " << argv[0] << " --list-points\n";
     return argc == 2 && std::strcmp(argv[1], "--help") == 0 ? 0 : 2;
 }
