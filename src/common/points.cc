@@ -9,6 +9,7 @@ bool skip_swcc_publish_flush = false;
 bool skip_hazard_publish_flush = false;
 bool skip_record_publish_flush = false;
 bool skip_dirty_line_tracking = false;
+bool skip_hazard_row_raise = false;
 } // namespace defect
 
 const char*
@@ -37,6 +38,9 @@ PointRegistry::PointRegistry()
     add(kSkipDirtyLineTracking, PointKind::Defect,
         "defect.skip_dirty_line_tracking", "MemSession::note_dirty",
         &skip_dirty_line_tracking);
+    add(kSkipHazardRowRaise, PointKind::Defect,
+        "defect.skip_hazard_row_raise", "HazardOffsets::try_publish",
+        &skip_hazard_row_raise);
 }
 
 PointRegistry&

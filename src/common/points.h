@@ -113,6 +113,12 @@ extern bool skip_record_publish_flush;
 inline constexpr PointId kSkipDirtyLineTracking = 73;
 extern bool skip_dirty_line_tracking;
 
+/// HazardOffsets::try_publish: skip raising the row-bound word before
+/// writing the hazard slot. A reclaimer's snapshot then stops below the
+/// publisher's row and can reclaim a block the reader still dereferences.
+inline constexpr PointId kSkipHazardRowRaise = 74;
+extern bool skip_hazard_row_raise;
+
 } // namespace defect
 
 /// Arms one defect point for the enclosing scope. The destructor disarms

@@ -157,6 +157,33 @@ class EdgeDownError : public std::exception {
     bool wired_;
 };
 
+/// Typed, recoverable rejection of a PC-T fault on a huge allocation: the
+/// faulting thread's hazard-offset row is full of mappings whose
+/// allocations are all still live, so the handler cannot protect one more
+/// mapping (paper §3.3.2). Nothing was published or mapped; the access can
+/// be retried once one of those allocations is freed.
+class HazardRowFullError : public std::exception {
+  public:
+    HazardRowFullError(ThreadId tid, HeapOffset offset)
+        : tid_(tid), offset_(offset)
+    {
+    }
+
+    ThreadId tid() const { return tid_; }
+    HeapOffset offset() const { return offset_; }
+
+    const char*
+    what() const noexcept override
+    {
+        return "hazard offset row full: thread maps its maximum of live "
+               "huge allocations";
+    }
+
+  private:
+    ThreadId tid_;
+    HeapOffset offset_;
+};
+
 /// Offset -> device routing for a window-partitioned arena: device d owns
 /// offsets [d << window_bits, (d+1) << window_bits). window_bits == 0 means
 /// the legacy single-device arena (everything routes to device 0).

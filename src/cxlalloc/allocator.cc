@@ -354,14 +354,13 @@ bool
 CxlAllocator::resolve_fault(pod::Process& process, cxl::MemSession& mem,
                             cxl::HeapOffset offset, pod::MappedRange* out)
 {
-    (void)process;
     if (small_.resolve(mem, offset, out)) {
         return true;
     }
     if (large_.resolve(mem, offset, out)) {
         return true;
     }
-    return huge_.resolve(mem, offset, out);
+    return huge_.resolve(process, mem, offset, out);
 }
 
 void

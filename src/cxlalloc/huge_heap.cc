@@ -1,5 +1,6 @@
 #include "cxlalloc/huge_heap.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/assert.h"
@@ -15,7 +16,8 @@ HugeHeap::HugeHeap(const Layout* layout, cxlsync::DetectableCas* dcas,
                    RecoveryLog* log)
     : layout_(layout), dcas_(dcas), log_(log),
       hazards_(layout->hazard_table(),
-               layout->config().hazard_slots_per_thread),
+               layout->config().hazard_slots_per_thread,
+               layout->hazard_rows()),
       num_regions_(layout->config().huge_regions),
       region_size_(layout->config().huge_region_size),
       data_base_(layout->huge_data()),
@@ -325,12 +327,8 @@ HugeHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
 }
 
 void
-HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
+HugeHeap::drop_freed_hazards(pod::Process& process, cxl::MemSession& mem)
 {
-    cxl::MemSession& mem = ctx.mem();
-    // Pass 1: this thread's hazards over allocations that were freed
-    // elsewhere — unmap locally and drop the hazard so reclamation can
-    // proceed pod-wide.
     for (std::uint32_t slot = 0; slot < hazards_.slots_per_thread(); slot++) {
         cxl::HeapOffset at = hazards_.slot_offset(mem.tid(), slot);
         std::uint64_t value = mem.load<std::uint64_t>(at);
@@ -350,11 +348,20 @@ HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
         }
         std::uint32_t flags = desc_flags(mem, index);
         if (flags & HugeDescField::kFlagFree) {
-            ctx.process().remove_mapping(desc_offset(mem, index),
-                                         desc_size(mem, index));
+            process.remove_mapping(desc_offset(mem, index),
+                                   desc_size(mem, index));
             hazards_.remove(mem, slot);
         }
     }
+}
+
+void
+HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    cxl::MemSession& mem = ctx.mem();
+    // Pass 1: this thread's hazards over allocations that were freed
+    // elsewhere.
+    drop_freed_hazards(ctx.process(), mem);
     // Pass 2: this thread's freed, unhazarded descriptors — reclaim the
     // descriptor and its address space. First collect the candidates.
     struct Candidate {
@@ -405,8 +412,8 @@ HugeHeap::cleanup(pod::ThreadContext& ctx, ThreadState& ts)
 }
 
 bool
-HugeHeap::resolve(cxl::MemSession& mem, cxl::HeapOffset offset,
-                  pod::MappedRange* out)
+HugeHeap::resolve(pod::Process& process, cxl::MemSession& mem,
+                  cxl::HeapOffset offset, pod::MappedRange* out)
 {
     if (!contains(offset)) {
         return false;
@@ -427,7 +434,15 @@ HugeHeap::resolve(cxl::MemSession& mem, cxl::HeapOffset offset,
     // PC-T: this process is about to install the mapping — protect it from
     // reclamation first (hazard-offset rule 1). No validation step needed:
     // the racing free would be an application use-after-free (§3.3.2).
-    hazards_.publish(mem, start);
+    // A full row means this thread maps its maximum: drop its mappings of
+    // freed allocations and retry once before failing the access.
+    if (hazards_.try_publish(mem, start) == cxlsync::HazardOffsets::kNoSlot) {
+        drop_freed_hazards(process, mem);
+        if (hazards_.try_publish(mem, start) ==
+            cxlsync::HazardOffsets::kNoSlot) {
+            throw cxl::HazardRowFullError(mem.tid(), offset);
+        }
+    }
     out->start = start;
     out->len = size;
     return true;
@@ -580,6 +595,21 @@ HugeHeap::check_invariants(cxl::MemSession& mem)
             }
             raw = desc_next(mem, index);
         }
+    }
+    // Snapshots read only rows up to the bound, so no row above it may
+    // hold a hazard.
+    cxl::ThreadId bound = hazards_.row_bound(mem);
+    if (bound < cxl::kMaxThreads) {
+        cxl::HeapOffset from =
+            hazards_.slot_offset(static_cast<cxl::ThreadId>(bound + 1), 0);
+        cxl::HeapOffset end = hazards_.slot_offset(
+            static_cast<cxl::ThreadId>(cxl::kMaxThreads + 1), 0);
+        std::vector<std::uint64_t> slots((end - from) / 8);
+        mem.flush(from, end - from);
+        mem.read_bytes(from, slots.data(), end - from);
+        CXL_ASSERT(std::all_of(slots.begin(), slots.end(),
+                               [](std::uint64_t v) { return v == 0; }),
+                   "hazard published above the hazard row bound");
     }
 }
 

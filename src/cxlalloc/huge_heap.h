@@ -57,9 +57,17 @@ class HugeHeap {
 
     /// PC-T fault support: walks descriptor lists for a live allocation
     /// covering @p offset; publishes a hazard for the faulting thread and
-    /// fills @p out on success.
-    bool resolve(cxl::MemSession& mem, cxl::HeapOffset offset,
-                 pod::MappedRange* out);
+    /// fills @p out on success. If the thread's hazard row is full it
+    /// first drops its mappings of freed allocations (drop_freed_hazards)
+    /// and retries; if the row is still full it throws
+    /// cxl::HazardRowFullError.
+    bool resolve(pod::Process& process, cxl::MemSession& mem,
+                 cxl::HeapOffset offset, pod::MappedRange* out);
+
+    /// Pass 1 of cleanup(): unmaps from @p process and un-hazards the
+    /// calling thread's mappings of allocations freed elsewhere, so
+    /// reclamation can proceed pod-wide.
+    void drop_freed_hazards(pod::Process& process, cxl::MemSession& mem);
 
     /// Rebuilds @p ts's volatile state (free interval set, free descriptor
     /// pool) from the reservation array and descriptor list. Called on
@@ -71,7 +79,7 @@ class HugeHeap {
                  const OpRecord& record);
 
     /// Invariants: descriptor lists acyclic, allocated descs within owned
-    /// regions, free bits consistent.
+    /// regions, free bits consistent, no hazard above the row bound.
     void check_invariants(cxl::MemSession& mem);
 
     struct Stats {
@@ -81,9 +89,6 @@ class HugeHeap {
     };
 
     Stats stats(cxl::MemSession& mem);
-
-    /// Hazard-offset table (exposed for tests).
-    cxlsync::HazardOffsets& hazards() { return hazards_; }
 
   private:
     // Descriptor field access (flush-after-write / flush-before-read).

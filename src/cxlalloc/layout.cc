@@ -42,9 +42,11 @@ Layout::Layout(const Config& config)
     constexpr std::uint32_t kRows = cxl::kMaxThreads + 1;
 
     // ---- HWcc region: everything synchronization-bearing, packed first.
-    // Offset base+0 is reserved (for the base-0 heap a null HeapOffset
-    // must never name live data; pod shards keep the window head free so
-    // all shards are congruent), so the help array starts one cacheline in.
+    // The first line is reserved: base+0 is never used (for the base-0
+    // heap a null HeapOffset must never name live data; pod shards keep
+    // the window head free so all shards are congruent) and base+8 holds
+    // the hazard row-bound word (hazard_rows()). The help array starts one
+    // cacheline in.
     HeapOffset at = config.base + cxlcommon::kCacheLine;
     help_array_ = at;
     at += kRows * 8;

@@ -153,6 +153,10 @@ class Layout {
 
     // ---- HWcc region ----
 
+    /// Hazard row-bound word (base + 8, in the reserved first line): the
+    /// highest tid that has ever published a hazard offset; only grows.
+    HeapOffset hazard_rows() const { return config_.base + 8; }
+
     /// Detectable-CAS help array entry for @p tid.
     HeapOffset help_array() const { return help_array_; }
 

@@ -104,10 +104,17 @@ Process::on_access(cxl::MemSession& mem, cxl::HeapOffset offset,
         // memory or a genuine bug.
         CXL_FATAL_IF(resolver_ == nullptr,
                      "segfault: unmapped access with no handler installed");
-        in_fault_handler = true;
         MappedRange range;
-        bool handled =
-            resolver_->resolve_fault(*this, mem, page_offset, &range);
+        bool handled;
+        in_fault_handler = true;
+        try {
+            handled = resolver_->resolve_fault(*this, mem, page_offset, &range);
+        } catch (...) {
+            // Typed resolver errors (Down edge, full hazard row) propagate
+            // to the faulting access; later faults must still resolve.
+            in_fault_handler = false;
+            throw;
+        }
         in_fault_handler = false;
         CXL_FATAL_IF(!handled,
                      "segfault: access outside any heap mapping");

@@ -11,6 +11,18 @@ std::uint32_t
 HazardOffsets::try_publish(cxl::MemSession& mem, cxl::HeapOffset offset)
 {
     CXL_ASSERT(offset != 0, "cannot publish null hazard offset");
+    // Cover this row before any slot in it can be nonzero: snapshot()
+    // reads only rows up to the bound. The raise is a synchronous coherent
+    // CAS (an mCAS on NoHwcc, with this thread's ring empty), so it is
+    // visible before the hazard store below can be.
+    if (!cxlcommon::defect::skip_hazard_row_raise) {
+        std::uint64_t bound = mem.atomic_load64(row_bound_);
+        while (bound < mem.tid()) {
+            if (mem.cas64(row_bound_, bound, mem.tid())) {
+                break; // a failed CAS reloaded bound
+            }
+        }
+    }
     for (std::uint32_t slot = 0; slot < slots_; slot++) {
         cxl::HeapOffset at = slot_offset(mem.tid(), slot);
         if (mem.load<std::uint64_t>(at) == 0) {
@@ -26,15 +38,6 @@ HazardOffsets::try_publish(cxl::MemSession& mem, cxl::HeapOffset offset)
         }
     }
     return kNoSlot;
-}
-
-std::uint32_t
-HazardOffsets::publish(cxl::MemSession& mem, cxl::HeapOffset offset)
-{
-    std::uint32_t slot = try_publish(mem, offset);
-    CXL_FATAL_IF(slot == kNoSlot,
-                 "hazard offset row full; raise slots_per_thread");
-    return slot;
 }
 
 void
@@ -61,10 +64,26 @@ HazardOffsets::remove_value(cxl::MemSession& mem, cxl::HeapOffset offset)
     return false;
 }
 
+cxl::ThreadId
+HazardOffsets::row_bound(cxl::MemSession& mem) const
+{
+    std::uint64_t bound = mem.atomic_load64(row_bound_);
+    CXL_ASSERT(bound <= cxl::kMaxThreads, "hazard row bound out of range");
+    return static_cast<cxl::ThreadId>(bound);
+}
+
 HazardSnapshot
 HazardOffsets::snapshot(cxl::MemSession& mem) const
 {
-    const cxl::HeapOffset end = base_ + footprint(slots_);
+    // Only rows up to the bound can hold a hazard. A reclaimer snapshots
+    // after observing every candidate's free bit, so any hazard on a
+    // candidate was published before this load, and its publisher raised
+    // the bound before publishing. A crash between a raise and its store
+    // only makes later snapshots read an empty row; an adopted slot keeps
+    // its tid, so its row stays covered. The word only grows, so it needs
+    // no recovery record.
+    const cxl::HeapOffset end =
+        base_ + (static_cast<std::uint64_t>(row_bound(mem)) + 1) * slots_ * 8;
     HazardSnapshot snap;
     // The first and last lines may be partial: the table need not start
     // or end on a line boundary (2 slots per row is 40.25 lines).

@@ -19,6 +19,11 @@
 /// Readers take a *snapshot*: one pass over the table that flushes and
 /// reads each 64 B line once, as in the batch scan of [51]. A reclaim
 /// pass takes one snapshot and tests every candidate against it.
+///
+/// A *row-bound word* in the sync region holds the highest tid that has
+/// ever published. Publishers raise it (a coherent CAS) before their first
+/// store; a snapshot reads only the rows up to it, since rows above it
+/// have never been written.
 
 #pragma once
 
@@ -47,9 +52,11 @@ class HazardOffsets {
   public:
     /// Layout: (kMaxThreads + 1) rows of @p slots_per_thread 8-byte slots
     /// starting at @p base. A zero slot is empty (offset 0 is never valid
-    /// huge data, so raw offsets are stored).
-    HazardOffsets(cxl::HeapOffset base, std::uint32_t slots_per_thread)
-        : base_(base), slots_(slots_per_thread)
+    /// huge data, so raw offsets are stored). @p row_bound is the sync-
+    /// region word bounding the rows in use (zero: only row 0).
+    HazardOffsets(cxl::HeapOffset base, std::uint32_t slots_per_thread,
+                  cxl::HeapOffset row_bound)
+        : base_(base), slots_(slots_per_thread), row_bound_(row_bound)
     {
     }
 
@@ -61,13 +68,11 @@ class HazardOffsets {
                slots_per_thread * 8;
     }
 
-    /// Publishes @p offset in a free slot of the calling thread's row.
-    /// Returns the slot index; aborts if the row is full (callers size the
-    /// row for the worst case: mappings held concurrently by one thread).
-    std::uint32_t publish(cxl::MemSession& mem, cxl::HeapOffset offset);
-
-    /// Like publish(), but returns kNoSlot instead of aborting when the
-    /// row is full, so callers can reclaim (or fail gracefully).
+    /// Publishes @p offset in a free slot of the calling thread's row,
+    /// first raising the row-bound word to cover that row. Returns the
+    /// slot index, or kNoSlot when the row is full (it bounds the mappings
+    /// one thread holds at once), so callers can reclaim or fail
+    /// gracefully.
     std::uint32_t try_publish(cxl::MemSession& mem, cxl::HeapOffset offset);
 
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -79,10 +84,13 @@ class HazardOffsets {
     /// @p offset; returns false if not found.
     bool remove_value(cxl::MemSession& mem, cxl::HeapOffset offset);
 
-    /// Reads every thread's row. Each line of the table costs one
+    /// Reads every row up to the row-bound word. Each line read costs one
     /// HazardScan hook, one flush (the huge-heap rule: never act on a
     /// stale cached copy of another thread's slot) and one bulk read.
     HazardSnapshot snapshot(cxl::MemSession& mem) const;
+
+    /// Highest tid that has ever published (the row-bound word).
+    cxl::ThreadId row_bound(cxl::MemSession& mem) const;
 
     /// Is @p offset published anywhere? One snapshot() plus a lookup.
     bool
@@ -103,6 +111,7 @@ class HazardOffsets {
   private:
     cxl::HeapOffset base_;
     std::uint32_t slots_;
+    cxl::HeapOffset row_bound_;
 };
 
 } // namespace cxlsync

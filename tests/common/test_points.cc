@@ -21,14 +21,15 @@ any_defect_armed()
     return defect::skip_swcc_publish_flush ||
            defect::skip_hazard_publish_flush ||
            defect::skip_record_publish_flush ||
-           defect::skip_dirty_line_tracking;
+           defect::skip_dirty_line_tracking ||
+           defect::skip_hazard_row_raise;
 }
 
 TEST(PointRegistry, RegistersEveryDefectSwitchUpFront)
 {
     std::vector<PointInfo> defects =
         PointRegistry::instance().all(PointKind::Defect);
-    ASSERT_EQ(defects.size(), 4u);
+    ASSERT_EQ(defects.size(), 5u);
     for (const PointInfo& info : defects) {
         EXPECT_EQ(info.name.rfind("defect.", 0), 0u) << info.name;
         EXPECT_FALSE(info.site.empty()) << info.name;
@@ -79,7 +80,7 @@ TEST(PointRegistry, AllFiltersByKindAndStaysSortedById)
     EXPECT_EQ(fault[0].name, "test.fault");
 
     std::vector<PointInfo> all = reg.all();
-    EXPECT_EQ(all.size(), 6u);
+    EXPECT_EQ(all.size(), 7u);
     for (std::size_t i = 1; i < all.size(); i++) {
         EXPECT_LT(all[i - 1].id, all[i].id);
     }

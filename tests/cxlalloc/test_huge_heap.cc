@@ -11,6 +11,16 @@ namespace {
 using cxltest::Rig;
 using cxltest::RigOptions;
 
+/// A view of the rig heap's hazard table.
+cxlsync::HazardOffsets
+hazard_table(const Rig& rig)
+{
+    const cxlalloc::Layout& layout = rig.alloc.layout();
+    return cxlsync::HazardOffsets(layout.hazard_table(),
+                                  rig.config.hazard_slots_per_thread,
+                                  layout.hazard_rows());
+}
+
 TEST(HugeAlloc, BasicAllocateFree)
 {
     Rig rig;
@@ -130,10 +140,12 @@ TEST(HugeAlloc, CleanupFlushesTheHazardTableOncePerPass)
         for (cxl::HeapOffset p : held) {
             rig.alloc.deallocate(*t, p);
         }
-        const cxlalloc::Layout& layout = rig.alloc.layout();
-        cxl::HeapOffset base = layout.hazard_table();
-        std::uint64_t len = cxlsync::HazardOffsets::footprint(
-            rig.config.hazard_slots_per_thread);
+        // The snapshot reads the rows up to the row-bound word, which the
+        // only publisher (this thread) raised to its own tid.
+        cxl::HeapOffset base = rig.alloc.layout().hazard_table();
+        ASSERT_EQ(hazard_table(rig).row_bound(t->mem()), t->tid());
+        std::uint64_t len = (static_cast<std::uint64_t>(t->tid()) + 1) *
+                            rig.config.hazard_slots_per_thread * 8;
         std::uint64_t table_lines =
             (cxlcommon::line_of(base + len - 1) - cxlcommon::line_of(base)) /
                 cxlcommon::kCacheLine +
@@ -146,7 +158,7 @@ TEST(HugeAlloc, CleanupFlushesTheHazardTableOncePerPass)
         // Every candidate is reclaimed: its address space is back.
         EXPECT_EQ(rig.alloc.thread_state(t->tid()).huge_free.total(),
                   free_before + static_cast<std::uint64_t>(k) * (1 << 20));
-        // One snapshot flushes each table line once. Each descriptor
+        // One snapshot flushes each line of those rows once. Each descriptor
         // (32 B, inside one line) costs three more: the refetch that
         // observes its free bit, the unlink (the list head, since
         // candidates are reclaimed head first), and the publish of its
@@ -157,6 +169,107 @@ TEST(HugeAlloc, CleanupFlushesTheHazardTableOncePerPass)
         rig.alloc.check_invariants(t->mem());
         rig.pod.release_thread(std::move(t));
     }
+}
+
+/// Two threads of the rig's process allocate hazard_slots_per_thread + 1
+/// live 1 MiB blocks (one thread alone could not hold that many); a thread
+/// of a second process then faults in all but the last, filling its hazard
+/// row. Returns the blocks, the last one still unmapped in @p mapper's
+/// process.
+std::vector<cxl::HeapOffset>
+fill_row_by_faults(Rig& rig, pod::ThreadContext& owner_a,
+                   pod::ThreadContext& owner_b, pod::ThreadContext& mapper)
+{
+    std::vector<cxl::HeapOffset> blocks;
+    for (std::uint32_t i = 0; i < rig.config.hazard_slots_per_thread; i++) {
+        blocks.push_back(rig.alloc.allocate(owner_a, 1 << 20));
+    }
+    blocks.push_back(rig.alloc.allocate(owner_b, 1 << 20));
+    for (std::size_t i = 0; i < blocks.size(); i++) {
+        EXPECT_NE(blocks[i], 0u) << "block " << i;
+        if (i + 1 < blocks.size()) {
+            (void)rig.alloc.pointer(mapper, blocks[i], 8);
+        }
+    }
+    return blocks;
+}
+
+TEST(HugeAlloc, PcTFaultOnAFullHazardRowDropsFreedMappingsAndRetries)
+{
+    RigOptions opt;
+    opt.checked_mappings = true;
+    Rig rig(opt);
+    auto* proc2 = rig.new_process();
+    auto owner_a = rig.thread();
+    auto owner_b = rig.thread();
+    auto mapper = rig.thread(proc2);
+    std::vector<cxl::HeapOffset> blocks =
+        fill_row_by_faults(rig, *owner_a, *owner_b, *mapper);
+    cxl::HeapOffset last = blocks.back();
+
+    // Freed elsewhere: process 2 still maps the block and holds its hazard.
+    rig.alloc.deallocate(*owner_a, blocks[0]);
+    ASSERT_TRUE(proc2->is_mapped(blocks[0]));
+
+    // The fault finds the row full, drops the freed block's mapping and
+    // hazard, and publishes in the freed slot.
+    (void)rig.alloc.pointer(*mapper, last, 8);
+    EXPECT_TRUE(proc2->is_mapped(last));
+    EXPECT_FALSE(proc2->is_mapped(blocks[0]));
+    rig.alloc.check_invariants(mapper->mem());
+
+    // Nothing protects the freed block any more: its owner reclaims it.
+    std::uint64_t free_before =
+        rig.alloc.thread_state(owner_a->tid()).huge_free.total();
+    rig.alloc.cleanup(*owner_a);
+    EXPECT_EQ(rig.alloc.thread_state(owner_a->tid()).huge_free.total(),
+              free_before + (1 << 20));
+
+    rig.pod.release_thread(std::move(owner_a));
+    rig.pod.release_thread(std::move(owner_b));
+    rig.pod.release_thread(std::move(mapper));
+}
+
+TEST(HugeAlloc, PcTFaultOnAFullRowOfLiveMappingsThrowsATypedError)
+{
+    RigOptions opt;
+    opt.checked_mappings = true;
+    Rig rig(opt);
+    auto* proc2 = rig.new_process();
+    auto owner_a = rig.thread();
+    auto owner_b = rig.thread();
+    auto mapper = rig.thread(proc2);
+    std::vector<cxl::HeapOffset> blocks =
+        fill_row_by_faults(rig, *owner_a, *owner_b, *mapper);
+    cxl::HeapOffset last = blocks.back();
+
+    // Every mapped block is live: the fault cannot be protected, so it
+    // fails recoverably, having published and mapped nothing.
+    try {
+        (void)rig.alloc.pointer(*mapper, last, 8);
+        ADD_FAILURE() << "fault on a full hazard row did not throw";
+    } catch (const cxl::HazardRowFullError& e) {
+        EXPECT_EQ(e.tid(), mapper->tid());
+        EXPECT_EQ(e.offset(), last); // the faulting page
+    }
+    EXPECT_FALSE(proc2->is_mapped(last));
+    cxlsync::HazardOffsets hz = hazard_table(rig);
+    for (std::uint32_t slot = 0; slot < hz.slots_per_thread(); slot++) {
+        EXPECT_NE(mapper->mem().load<std::uint64_t>(
+                      hz.slot_offset(mapper->tid(), slot)),
+                  last);
+    }
+    rig.alloc.check_invariants(mapper->mem());
+
+    // Once one of them is freed the same access resolves.
+    rig.alloc.deallocate(*owner_a, blocks[0]);
+    (void)rig.alloc.pointer(*mapper, last, 8);
+    EXPECT_TRUE(proc2->is_mapped(last));
+    rig.alloc.check_invariants(mapper->mem());
+
+    rig.pod.release_thread(std::move(owner_a));
+    rig.pod.release_thread(std::move(owner_b));
+    rig.pod.release_thread(std::move(mapper));
 }
 
 TEST(HugeAlloc, CrossThreadFree)

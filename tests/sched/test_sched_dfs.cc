@@ -94,17 +94,17 @@ TEST(SchedDfs, DetectableCasIncrementSpaceIsExhaustedAndExactlyOnce)
 
 TEST(SchedDfs, HazardProtocolSurvivesDepthBoundedEnumeration)
 {
-    // Reader/reclaimer handshake under simulated caches. The reclaimer's
-    // full-table scan makes true exhaustion infeasible, so branching is
+    // Reader/reclaimer handshake under simulated caches. Branching is
     // depth-bounded: every distinct prefix of the first 14 scheduling
     // decisions is enumerated (thousands of schedules), the tail runs
     // round-robin from thread 0.
+    constexpr cxl::HeapOffset kRowBound = 8;
     constexpr cxl::HeapOffset kHazardBase = 64 << 10;
     constexpr cxl::HeapOffset kFreeWord = 128 << 10;
     constexpr cxl::HeapOffset kDataWord = (128 << 10) + 64;
 
     struct World {
-        World() : pod(pod_config()), hz(kHazardBase, 2)
+        World() : pod(pod_config()), hz(kHazardBase, 2, kRowBound)
         {
             process = pod.create_process();
             reader = pod.create_thread(process);

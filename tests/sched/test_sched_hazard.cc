@@ -4,9 +4,10 @@
 /// publishes an offset then dereferences it unless freed; a reclaimer
 /// sets the free bit then reclaims unless the offset is published. The
 /// oracle forbids dereferencing after reclamation. The correct protocol
-/// (publish = store + flush + fence BEFORE re-checking the free bit)
-/// survives every interleaving; the variant that skips the publish flush
-/// exposes the missed-scan window and must be caught and replayed.
+/// (raise the row bound, then publish = store + flush + fence, BEFORE
+/// re-checking the free bit) survives every interleaving; the variants
+/// that skip the publish flush or the row-bound raise expose the
+/// missed-scan window and must be caught and replayed.
 
 #include <gtest/gtest.h>
 
@@ -30,13 +31,14 @@ using sched::Result;
 using sched::Run;
 using sched::Strategy;
 
+constexpr cxl::HeapOffset kRowBound = 8;          // sync region
 constexpr cxl::HeapOffset kHazardBase = 64 << 10; // SWcc, cache-simulated
 constexpr cxl::HeapOffset kFreeWord = 128 << 10;
 constexpr cxl::HeapOffset kDataWord = (128 << 10) + 64;
 constexpr std::uint32_t kSlots = 2;
 
 struct HazardWorld {
-    HazardWorld() : pod(pod_config()), hz(kHazardBase, kSlots)
+    HazardWorld() : pod(pod_config()), hz(kHazardBase, kSlots, kRowBound)
     {
         process = pod.create_process();
         reader = pod.create_thread(process);
@@ -148,12 +150,12 @@ TEST(SchedHazard, SkippedPublishFlushIsCaughtAndReplays)
     // window. The explorer must find the resulting deref-after-reclaim.
     //
     // This is a depth-1 preemption bug: the reader must be descheduled at
-    // its deref yield for the reclaimer's entire snapshot: 123 hooks, a
-    // scan, a flush and a read for each of the table's 41 lines. A uniform
-    // random walk never strings that many consecutive picks together; a
-    // single PCT change point (depth 2) landing on the deref demotes the
-    // reader exactly there. A second change point would fire mid-scan and
-    // wake the reader early, so depth 2, not 3.
+    // its deref yield for the reclaimer's entire snapshot: 4 hooks, the
+    // row-bound load plus a scan, a flush and a read for the one line
+    // holding rows 0..1. A single PCT change point (depth 2) landing on
+    // the deref demotes the reader exactly there. A second change point
+    // would fire mid-snapshot and wake the reader early, so depth 2, not
+    // 3.
     cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipHazardPublishFlush);
     auto totals = std::make_shared<Totals>();
     Options opt;
@@ -164,6 +166,31 @@ TEST(SchedHazard, SkippedPublishFlushIsCaughtAndReplays)
     Explorer ex(opt);
     Result r = ex.run(hazard_factory(totals));
     ASSERT_FALSE(r.ok) << "missed-scan window not found";
+    ASSERT_TRUE(r.failure.has_value());
+    EXPECT_NE(r.failure->message.find("reclamation"), std::string::npos);
+
+    Result again = ex.replay(*r.failure, hazard_factory(totals));
+    ASSERT_FALSE(again.ok);
+    EXPECT_EQ(again.failure->message, r.failure->message);
+    EXPECT_EQ(again.failure->trace, r.failure->trace);
+}
+
+TEST(SchedHazard, SkippedRowRaiseIsCaughtAndReplays)
+{
+    // Protocol mutation: the reader (tid 1) publishes without raising the
+    // row-bound word, so its row lies above the bound (0) the reclaimer's
+    // snapshot reads up to. The flushed hazard is then never read, and the
+    // explorer must find the resulting deref-after-reclaim.
+    cxlcommon::ScopedArm defect(cxlcommon::defect::kSkipHazardRowRaise);
+    auto totals = std::make_shared<Totals>();
+    Options opt;
+    opt.strategy = Strategy::Pct;
+    opt.pct_depth = 2;
+    opt.seed = 47;
+    opt.schedules = 1500;
+    Explorer ex(opt);
+    Result r = ex.run(hazard_factory(totals));
+    ASSERT_FALSE(r.ok) << "unbounded-row publish not found";
     ASSERT_TRUE(r.failure.has_value());
     EXPECT_NE(r.failure->message.find("reclamation"), std::string::npos);
 
