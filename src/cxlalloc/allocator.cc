@@ -1,6 +1,6 @@
 #include "cxlalloc/allocator.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/assert.h"
 #include "obs/timer.h"
@@ -105,9 +105,9 @@ CxlAllocator::set_metrics(obs::MetricsRegistry* registry)
     inst_.alloc_large = registry->counter("alloc.large");
     inst_.alloc_huge = registry->counter("alloc.huge");
     inst_.alloc_failures = registry->counter("alloc.failures");
-    inst_.free_local = registry->counter("alloc.free_local");
-    inst_.free_remote = registry->counter("alloc.free_remote");
-    inst_.free_huge = registry->counter("alloc.free_huge");
+    inst_.frees[kLocal] = registry->counter("alloc.free_local");
+    inst_.frees[kRemote] = registry->counter("alloc.free_remote");
+    inst_.frees[kHuge] = registry->counter("alloc.free_huge");
     inst_.free_batches = registry->counter("alloc.free_batches");
     inst_.free_batch_ns = registry->histogram("alloc.free_batch_ns");
     inst_.recoveries = registry->counter("alloc.recoveries");
@@ -154,32 +154,33 @@ CxlAllocator::allocate(pod::ThreadContext& ctx, std::uint64_t size)
     return off;
 }
 
-void
-CxlAllocator::deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset)
+CxlAllocator::FreeKind
+CxlAllocator::free_one(pod::ThreadContext& ctx, cxl::HeapOffset offset)
 {
     CXL_ASSERT(offset != 0, "freeing null offset");
     ThreadState& ts = state_of(ctx);
-    std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
-    bool remote = false;
-    bool huge = false;
-    if (small_.contains(offset)) {
-        remote = small_.deallocate(ctx, ts, offset);
-    } else if (large_.contains(offset)) {
-        remote = large_.deallocate(ctx, ts, offset);
-    } else if (huge_.contains(offset)) {
-        huge_.deallocate(ctx, ts, offset);
-        huge = true;
-    } else {
-        CXL_FATAL("free of offset outside any heap region");
+    if (small_.contains(offset) || large_.contains(offset)) {
+        SlabHeap& heap = small_.contains(offset) ? small_ : large_;
+        return heap.deallocate(ctx, ts, offset) ? kRemote : kLocal;
     }
+    CXL_FATAL_IF(!huge_.contains(offset),
+                 "free of offset outside any heap region");
+    huge_.deallocate(ctx, ts, offset);
+    return kHuge;
+}
+
+void
+CxlAllocator::deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset)
+{
+    std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
+    FreeKind kind = free_one(ctx, offset);
     if (inst_.registry == nullptr) {
         return;
     }
     std::uint64_t dt = obs::now_ns() - t0;
     obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
-    sh.add(huge ? inst_.free_huge
-                : (remote ? inst_.free_remote : inst_.free_local));
-    sh.record(remote ? inst_.remote_free_ns : inst_.free_ns, dt);
+    sh.add(inst_.frees[kind]);
+    sh.record(kind == kRemote ? inst_.remote_free_ns : inst_.free_ns, dt);
     sh.trace().push({inst_.op_free, ctx.tid(), t0, dt, offset});
 }
 
@@ -188,55 +189,141 @@ CxlAllocator::deallocate_batch(pod::ThreadContext& ctx,
                                const cxl::HeapOffset* offsets,
                                std::uint32_t n)
 {
-    if (n == 0) {
-        return;
-    }
-    ThreadState& ts = state_of(ctx);
-    std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
-    // Partition by heap so each slab heap sees its drain in one piece and
-    // can pack distinct-slab decrements into shared doorbells. Huge frees
-    // have no remote counter to batch.
-    std::vector<cxl::HeapOffset> small_offs;
-    std::vector<cxl::HeapOffset> large_offs;
-    std::uint64_t huge_count = 0;
-    for (std::uint32_t i = 0; i < n; i++) {
-        cxl::HeapOffset offset = offsets[i];
-        CXL_ASSERT(offset != 0, "freeing null offset");
-        if (small_.contains(offset)) {
-            small_offs.push_back(offset);
-        } else if (large_.contains(offset)) {
-            large_offs.push_back(offset);
-        } else if (huge_.contains(offset)) {
-            huge_.deallocate(ctx, ts, offset);
-            huge_count++;
-        } else {
-            CXL_FATAL("free of offset outside any heap region");
+    CxlAllocator* self = this;
+    free_batch(ctx, &self, 1, offsets, n);
+}
+
+void
+CxlAllocator::free_batch(pod::ThreadContext& ctx,
+                         CxlAllocator* const* shards,
+                         std::uint32_t shard_count,
+                         const cxl::HeapOffset* offsets, std::uint32_t n)
+{
+    constexpr std::uint32_t kSlots = cxl::kNmpRingSlots;
+    // Offsets in play per round: two rings' worth, so a round can pass
+    // over duplicates and serial frees and still fill the ring. It bounds
+    // the serial drain and the carry-over too.
+    constexpr std::uint32_t kWindow = 2 * kSlots;
+    cxl::MemSession& mem = ctx.mem();
+    auto shard_of = [&](cxl::HeapOffset off) -> std::uint32_t {
+        return shard_count == 1 ? 0 : mem.device()->device_of(off);
+    };
+    // Coherent CAS costs no device round trip: nothing to amortize.
+    bool nmp = mem.device()->mode() == cxl::CoherenceMode::NoHwcc;
+    CxlAllocator* any = nullptr;
+    std::uint64_t t0 = obs::now_ns();
+    std::uint64_t kinds[3] = {0, 0, 0};
+    cxl::HeapOffset pending[kWindow];
+    std::uint32_t n_pending = 0;
+    std::uint32_t next = 0;
+    cxl::McasBackoff backoff;
+    while (n_pending > 0 || next < n) {
+        for (; n_pending < kWindow && next < n; next++) {
+            CXL_ASSERT(offsets[next] != 0, "freeing null offset");
+            if (CxlAllocator* h = shards[shard_of(offsets[next])]) {
+                any = h;
+                pending[n_pending++] = offsets[next];
+            }
         }
+        cxl::HeapOffset serial[kWindow], carry[kWindow], staged_off[kSlots];
+        cxl::McasOperand staged[kSlots];
+        // Per shard: the round's operand count and last version there.
+        OpRecord rec[cxl::kMaxDevices] = {};
+        std::uint32_t n_serial = 0, n_carry = 0, n_staged = 0;
+        for (std::uint32_t i = 0; i < n_pending; i++) {
+            cxl::HeapOffset off = pending[i];
+            std::uint32_t d = shard_of(off);
+            CxlAllocator& h = *shards[d];
+            SlabHeap* heap = h.small_.contains(off)   ? &h.small_
+                             : h.large_.contains(off) ? &h.large_
+                                                      : nullptr;
+            ThreadState& ts = h.state_of(ctx);
+            SlabHeap::Stage st =
+                !nmp || heap == nullptr ? SlabHeap::Stage::Serial
+                : n_staged == kSlots    ? SlabHeap::Stage::Busy
+                    : heap->stage_free(mem, ts, off, staged, n_staged);
+            if (st == SlabHeap::Stage::Serial) {
+                serial[n_serial++] = off;
+            } else if (st == SlabHeap::Stage::Busy) {
+                carry[n_carry++] = off;
+            } else {
+                staged_off[n_staged++] = off;
+                rec[d].aux++;
+                rec[d].version = ts.version;
+            }
+        }
+        if (n_staged > 0) {
+            // Post only after the scan: stage() records help through the
+            // serial mCAS path, which requires an empty ring.
+            for (std::uint32_t k = 0; k < n_staged; k++) {
+                bool posted = mem.mcas_post(staged[k]);
+                CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
+            }
+            ctx.maybe_crash(crashpoint::kMidBatchStage);
+            // Every touched shard's row names its part of the round; the
+            // rows become durable under one fence, before the doorbell.
+            for (std::uint32_t d = 0; d < shard_count; d++) {
+                if (rec[d].aux != 0) {
+                    rec[d].op = Op::FreeRemoteBatch;
+                    shards[d]->log_.log(mem, rec[d], /*fence=*/false);
+                }
+            }
+            if (any->log_.enabled()) {
+                mem.fence();
+            }
+            ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
+            mem.mcas_doorbell();
+            ctx.maybe_crash(crashpoint::kMidBatchDrain);
+            bool conflicted = false;
+            for (std::uint32_t k = 0; k < n_staged; k++) {
+                cxl::McasResult r;
+                bool polled = mem.mcas_poll(&r);
+                CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
+                if (r.success) {
+                    kinds[kRemote]++;
+                } else {
+                    conflicted |= r.conflict;
+                    carry[n_carry++] = staged_off[k];
+                }
+            }
+            if (conflicted) {
+                mem.charge(backoff.next_ns());
+            } else {
+                backoff.reset();
+            }
+        }
+        for (std::uint32_t i = 0; i < n_serial; i++) {
+            kinds[shards[shard_of(serial[i])]->free_one(ctx, serial[i])]++;
+        }
+        std::copy(carry, carry + n_carry, pending);
+        n_pending = n_carry;
     }
-    std::uint64_t remote = 0;
-    if (!small_offs.empty()) {
-        remote += small_.deallocate_batch(
-            ctx, ts, small_offs.data(),
-            static_cast<std::uint32_t>(small_offs.size()));
-    }
-    if (!large_offs.empty()) {
-        remote += large_.deallocate_batch(
-            ctx, ts, large_offs.data(),
-            static_cast<std::uint32_t>(large_offs.size()));
-    }
-    if (inst_.registry == nullptr) {
+    if (any == nullptr || any->inst_.registry == nullptr) {
         return;
     }
-    obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
-    sh.add(inst_.free_batches);
-    sh.add(inst_.free_huge, huge_count);
-    sh.add(inst_.free_remote, remote);
-    sh.add(inst_.free_local, n - huge_count - remote);
-    sh.record(inst_.free_batch_ns, obs::now_ns() - t0);
+    const Instruments& in = any->inst_;
+    obs::MetricsShard& sh = in.registry->shard(ctx.tid());
+    sh.add(in.free_batches);
+    for (int kind : {kLocal, kRemote, kHuge}) {
+        sh.add(in.frees[kind], kinds[kind]);
+    }
+    sh.record(in.free_batch_ns, obs::now_ns() - t0);
 }
 
 void
 CxlAllocator::recover(pod::ThreadContext& ctx)
+{
+    cxl::NmpSlotView ring[cxl::kNmpRingSlots];
+    cxl::Nmp& nmp = pod_.nmp();
+    std::uint32_t live =
+        nmp.ring_snapshot(ctx.tid(), ring, cxl::kNmpRingSlots);
+    nmp.reset_ring(ctx.tid());
+    recover(ctx, ring, live);
+}
+
+void
+CxlAllocator::recover(pod::ThreadContext& ctx, const cxl::NmpSlotView* ring,
+                      std::uint32_t ring_size)
 {
     cxl::MemSession& mem = ctx.mem();
     PerThread& pt = threads_[ctx.tid()];
@@ -244,21 +331,29 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
 
     OpRecord record = log_.read(mem, ctx.tid());
     // Resume the version counter past the interrupted operation so no
-    // future CAS reuses its tag.
+    // future CAS reuses its tag, and past every operand the thread staged
+    // into this window. The ring holds this shard's part of a batch round
+    // iff one of those operands carries the record's version: the last one
+    // the round took here. A stale record of an earlier, completed round
+    // names an older version; a round that crashed before logging rang no
+    // doorbell. Neither has anything to redo.
     pt.state.version = (record.version + 1) & cxlsync::kVersionMask;
+    auto here = [&](const cxl::NmpSlotView& v) {
+        return v.op.target >= layout_.base() && v.op.target < layout_.end();
+    };
+    bool logged = false;
+    for (std::uint32_t i = 0; i < ring_size; i++) {
+        std::uint16_t v = cxlsync::DcasWord::version(ring[i].op.swap);
+        if (here(ring[i])) {
+            logged |= record.op == Op::FreeRemoteBatch && v == record.version;
+            if (cxlsync::version_geq(v, pt.state.version)) {
+                pt.state.version = v;
+            }
+        }
+    }
     // Huge-heap volatile state must exist before huge redo logic runs.
     huge_.rebuild_thread_state(ctx, pt.state);
     pt.attached = true;
-
-    // Staged NMP operands are device state: a crash can leave Posted slots
-    // that doom every competing mCAS on their targets (Fig. 6(b)) until
-    // released. An interrupted batch (Op::FreeRemoteBatch) needs them as
-    // its redo state — its recover case snapshots, then resets. Any other
-    // record means no batch record was logged, so staged operands belong
-    // to a batch that never (durably) happened: discard them.
-    if (record.op != Op::FreeRemoteBatch) {
-        pod_.nmp().reset_ring(ctx.tid());
-    }
 
     switch (record.op) {
       case Op::None:
@@ -268,6 +363,24 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
         // job — resuming the version counter past the CAS — happened
         // above. Whether the CAS landed is the publisher's protocol
         // question (dcas().did_succeed with the recorded version).
+        break;
+      case Op::FreeRemoteBatch:
+        for (std::uint32_t i = 0; logged && i < ring_size; i++) {
+            const cxl::NmpSlotView& v = ring[i];
+            CXL_ASSERT(cxlsync::DcasWord::tid(v.op.swap) == mem.tid(),
+                       "foreign operand in adopted ring");
+            // Each slot's own state says whether it landed: did_succeed
+            // cannot, since a foreign CAS displacing a LATER operand's tag
+            // moves help[t] past earlier operands' versions. A landed
+            // operand left a counter >= 1, so no steal is left to finish.
+            if (!here(v) || (v.state == cxl::NmpSlotState::Executed &&
+                             v.result.success)) {
+                continue;
+            }
+            bool redone = small_.redo_decrement(ctx, pt.state, v.op.target) ||
+                          large_.redo_decrement(ctx, pt.state, v.op.target);
+            CXL_ASSERT(redone, "batched operand outside the counter region");
+        }
         break;
       case Op::HugeReserve:
       case Op::HugeAlloc:
@@ -288,12 +401,6 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     if (inst_.registry != nullptr) {
         inst_.registry->shard(ctx.tid()).add(inst_.recoveries);
     }
-}
-
-Op
-CxlAllocator::pending_op(pod::ThreadContext& ctx)
-{
-    return log_.read(ctx.mem(), ctx.tid()).op;
 }
 
 OpRecord

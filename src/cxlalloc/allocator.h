@@ -62,13 +62,24 @@ class CxlAllocator : public pod::FaultResolver {
     /// Frees an allocation by offset (any attached thread/process).
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
-    /// Frees @p n allocations in one drain. Semantically equal to n
-    /// deallocate() calls; under NoHwcc the slab heaps submit remote-free
-    /// decrements of distinct slabs as batched NMP doorbells — one device
-    /// round trip per ring instead of one per free (§4). Huge frees and
-    /// everything under HWcc modes take the serial paths unchanged.
+    /// Frees @p n allocations in one drain: free_batch over this heap.
     void deallocate_batch(pod::ThreadContext& ctx,
                           const cxl::HeapOffset* offsets, std::uint32_t n);
+
+    /// The batched-free stager, shared by every heap of a pod. Semantically
+    /// equal to n deallocate() calls. Under NoHwcc it stages every
+    /// remote-free decrement it can batch — whatever its shard or heap —
+    /// into the thread's one NMP ring and rings one doorbell per round
+    /// (one device round trip, §4). Local frees, final (stealing)
+    /// decrements and huge frees drain serially once the ring is empty; a
+    /// same-counter duplicate or a conflicted operand retries next round,
+    /// after a bounded backoff. Under HWcc modes every free is serial.
+    /// @p shards[d] owns window d's offsets (a single-entry table owns
+    /// every offset); a null entry skips the offset (the caller parked it).
+    static void free_batch(pod::ThreadContext& ctx,
+                           CxlAllocator* const* shards,
+                           std::uint32_t shard_count,
+                           const cxl::HeapOffset* offsets, std::uint32_t n);
 
     /// Resolves an offset to a pointer in this process, enforcing PC-T
     /// (faults in the mapping if needed).
@@ -84,11 +95,10 @@ class CxlAllocator : public pod::FaultResolver {
     /// Non-blocking: live threads keep allocating throughout.
     void recover(pod::ThreadContext& ctx);
 
-    /// The operation recorded in the adopted slot's recovery record,
-    /// without redoing anything. Pod-sharded recovery uses this to order
-    /// shard recovery: the (at most one) shard with an interrupted NMP
-    /// batch must recover before any other shard resets the thread's ring.
-    Op pending_op(pod::ThreadContext& ctx);
+    /// recover() for one shard of a pod, given the thread's (pod-wide) NMP
+    /// ring as snapshotted and released before any shard recovered.
+    void recover(pod::ThreadContext& ctx, const cxl::NmpSlotView* ring,
+                 std::uint32_t ring_size);
 
     /// The adopted slot's full recovery record, without redoing anything.
     /// Migration recovery snapshots every shard's record BEFORE shard
@@ -174,6 +184,9 @@ class CxlAllocator : public pod::FaultResolver {
   private:
     ThreadState& state_of(pod::ThreadContext& ctx);
 
+    enum FreeKind { kLocal, kRemote, kHuge };
+    FreeKind free_one(pod::ThreadContext& ctx, cxl::HeapOffset offset);
+
     cxl::HeapOffset allocate_impl(pod::ThreadContext& ctx,
                                   std::uint64_t size);
 
@@ -184,9 +197,9 @@ class CxlAllocator : public pod::FaultResolver {
         obs::MetricId alloc_large = obs::kInvalidMetric;
         obs::MetricId alloc_huge = obs::kInvalidMetric;
         obs::MetricId alloc_failures = obs::kInvalidMetric;
-        obs::MetricId free_local = obs::kInvalidMetric;
-        obs::MetricId free_remote = obs::kInvalidMetric;
-        obs::MetricId free_huge = obs::kInvalidMetric;
+        /// alloc.free_local / free_remote / free_huge, by FreeKind.
+        std::array<obs::MetricId, 3> frees{
+            obs::kInvalidMetric, obs::kInvalidMetric, obs::kInvalidMetric};
         obs::MetricId free_batches = obs::kInvalidMetric;
         obs::MetricId free_batch_ns = obs::kInvalidMetric;
         obs::MetricId recoveries = obs::kInvalidMetric;

@@ -263,30 +263,24 @@ PodShardedAllocator::deallocate_batch(pod::ThreadContext& ctx,
                                       const cxl::HeapOffset* offsets,
                                       std::uint32_t n)
 {
-    // Partition by owning window so each shard still sees one contiguous
-    // batch (one NMP doorbell per ring, as in the single-heap path).
-    std::vector<std::vector<cxl::HeapOffset>> parts(shards_.size());
+    // Frees bound for a Down device park; the rest go to the one stager,
+    // whose doorbells carry operands of every shard and heap at once.
+    auto host = static_cast<pod::HostId>(ctx.process().host());
+    std::uint32_t down = health_[host].down.load(std::memory_order_acquire);
+    std::array<CxlAllocator*, cxl::kMaxDevices> route{};
+    for (cxl::DeviceId d = 0; d < shards_.size(); d++) {
+        route[d] = ((down >> d) & 1) != 0 ? nullptr : shards_[d].get();
+    }
     for (std::uint32_t i = 0; i < n; i++) {
         cxl::DeviceId d = pod_.device().device_of(offsets[i]);
         CXL_ASSERT(d < shards_.size(), "free offset names no shard");
-        parts[d].push_back(offsets[i]);
-    }
-    auto host = static_cast<pod::HostId>(ctx.process().host());
-    std::uint32_t down = health_[host].down.load(std::memory_order_acquire);
-    for (cxl::DeviceId d = 0; d < parts.size(); d++) {
-        if (parts[d].empty()) {
-            continue;
+        if (route[d] == nullptr) {
+            park_free(ctx, offsets[i]);
         }
-        if ((down >> d) & 1) {
-            for (cxl::HeapOffset off : parts[d]) {
-                park_free(ctx, off);
-            }
-            continue;
-        }
-        shards_[d]->deallocate_batch(
-            ctx, parts[d].data(),
-            static_cast<std::uint32_t>(parts[d].size()));
     }
+    CxlAllocator::free_batch(ctx, route.data(),
+                             static_cast<std::uint32_t>(shards_.size()),
+                             offsets, n);
 }
 
 std::uint64_t
@@ -338,28 +332,21 @@ PodShardedAllocator::recover(pod::ThreadContext& ctx)
 {
     // The adopter sweeps the shards its host reaches (which must include
     // everything the dead thread touched — adopt recovery work on a host
-    // wired at least as widely as the crashed one). At most one shard
-    // holds the thread's interrupted NMP batch (records are per-shard, but
-    // the thread was executing at most one operation when it died). Its
-    // redo operands live in the thread's NMP ring; every other shard's
-    // recover() resets that ring, so the batch shard must go first.
-    // Redoing the remaining shards' stale-but-completed records is
-    // idempotent by design.
-    const std::vector<cxl::DeviceId>& reach = sweep_of(ctx);
-    cxl::DeviceId batch_shard = static_cast<cxl::DeviceId>(shards_.size());
-    for (cxl::DeviceId d : reach) {
-        if (shards_[d]->pending_op(ctx) == Op::FreeRemoteBatch) {
-            batch_shard = d;
-            break;
-        }
-    }
-    if (batch_shard < shards_.size()) {
-        shards_[batch_shard]->recover(ctx);
-    }
-    for (cxl::DeviceId d : reach) {
-        if (d != batch_shard) {
-            shards_[d]->recover(ctx);
-        }
+    // wired at least as widely as the crashed one). The thread's NMP ring
+    // is one per thread, pod-wide: snapshot and release it once, before
+    // any shard's redo posts a serial mCAS. Each shard then redoes the
+    // ring operands of the batch round its own record names, if any (a
+    // round may span shards; a stale FreeRemoteBatch record names none).
+    // Every shard also redoes its last record, which may be stale: most
+    // redo cases are idempotent on a completed op, but not all of them (a
+    // stale FreeLocal against a since-emptied, classless slab aborts; see
+    // podbench's IdleRestartDeathTest).
+    cxl::NmpSlotView ring[cxl::kNmpRingSlots];
+    std::uint32_t live =
+        pod_.nmp().ring_snapshot(ctx.tid(), ring, cxl::kNmpRingSlots);
+    pod_.nmp().reset_ring(ctx.tid());
+    for (cxl::DeviceId d : sweep_of(ctx)) {
+        shards_[d]->recover(ctx, ring, live);
     }
 }
 

@@ -104,8 +104,9 @@ class PodShardedAllocator : public pod::FaultResolver {
     /// Frees @p offset into the shard its window bits name.
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
-    /// Batched free: offsets are partitioned by window and each shard
-    /// drains its part in one batch (NMP doorbell packing intact).
+    /// Batched free (CxlAllocator::free_batch over every shard): one
+    /// doorbell per round carries decrements of every shard and heap.
+    /// Frees bound for a Down device are parked.
     void deallocate_batch(pod::ThreadContext& ctx,
                           const cxl::HeapOffset* offsets, std::uint32_t n);
 
@@ -116,10 +117,8 @@ class PodShardedAllocator : public pod::FaultResolver {
         return ctx.mem().data_ptr(offset, len);
     }
 
-    /// Recovers the adopted slot across every shard. The (at most one)
-    /// shard whose recovery record is an interrupted NMP batch recovers
-    /// first: its redo state lives in the thread's operand ring, which
-    /// every other shard's recovery resets.
+    /// Recovers the adopted slot across every shard, from one snapshot of
+    /// the thread's NMP ring: an interrupted batch round may span shards.
     void recover(pod::ThreadContext& ctx);
 
     /// Huge-heap reclamation pass on every shard.

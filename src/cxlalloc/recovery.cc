@@ -26,11 +26,11 @@ register_crash_points()
     add(cp::kMidHugeFree, "huge.mid_free", "HugeHeap::deallocate");
     add(cp::kMidAlloc, "slab.mid_alloc", "SlabHeap::allocate");
     add(cp::kMidBatchStage, "slab.mid_batch_stage",
-        "SlabHeap::deallocate_batch");
+        "CxlAllocator::free_batch (ring staged)");
     add(cp::kMidBatchDoorbell, "slab.mid_batch_doorbell",
-        "SlabHeap::deallocate_batch");
+        "CxlAllocator::free_batch (shard records logged)");
     add(cp::kMidBatchDrain, "slab.mid_batch_drain",
-        "SlabHeap::deallocate_batch");
+        "CxlAllocator::free_batch (doorbell rung)");
 }
 
 const char*

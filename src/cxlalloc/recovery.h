@@ -75,13 +75,11 @@ enum class Op : std::uint8_t {
     HugeReserve = 10, ///< claim a reservation region   (dcas)
     HugeAlloc = 11,   ///< build + link huge descriptor
     HugeFree = 12,    ///< set huge descriptor free bit
-    /// A ring of remote-free decrements submitted as one batched NMP
-    /// doorbell (aux: heap|count; version: LAST of `count` consecutive
-    /// dcas versions, so recovery resumes versioning past the whole
-    /// batch). The per-operand redo state — which slabs, which versions,
-    /// which executed — lives in the thread's NMP operand ring, which is
-    /// device memory and survives the crash; see
-    /// SlabHeap::deallocate_batch and its recover case.
+    /// One doorbell round of remote-free decrements, logged in every shard
+    /// it stages into (aux: the shard's operand count; version: the LAST
+    /// of its consecutive dcas versions there). The per-operand redo state
+    /// lives in the thread's one NMP operand ring, which is device memory
+    /// and survives the crash; see CxlAllocator::free_batch and recover.
     FreeRemoteBatch = 13,
     /// An application (or migrator) reference-cell publish through the
     /// allocator's detectable CAS (CxlAllocator::cell_publish): consumes
@@ -122,9 +120,10 @@ class RecoveryLog {
 
     /// Publishes @p record as the calling thread's in-flight operation
     /// and makes it durable: 8-byte store, flush, fence. Required before
-    /// any detectable CAS (see the header discipline).
+    /// any detectable CAS (see the header discipline). Without @p fence
+    /// the caller owes it (a batch round fences its shards' rows once).
     void
-    log(cxl::MemSession& mem, const OpRecord& record)
+    log(cxl::MemSession& mem, const OpRecord& record, bool fence = true)
     {
         if (!enabled_) {
             return;
@@ -139,7 +138,9 @@ class RecoveryLog {
             return;
         }
         mem.flush(row, 8);
-        mem.fence();
+        if (fence) {
+            mem.fence();
+        }
         pending_[mem.tid()] = false;
     }
 

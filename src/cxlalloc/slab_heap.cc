@@ -1,7 +1,6 @@
 #include "cxlalloc/slab_heap.h"
 
 #include <bit>
-#include <vector>
 
 #include "common/assert.h"
 #include "common/cacheline.h"
@@ -722,126 +721,49 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
     return true;
 }
 
-std::uint32_t
-SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
-                           const cxl::HeapOffset* offsets, std::uint32_t n)
+SlabHeap::Stage
+SlabHeap::stage_free(cxl::MemSession& mem, ThreadState& ts,
+                     cxl::HeapOffset offset, cxl::McasOperand* staged,
+                     std::uint32_t n)
 {
-    cxl::MemSession& mem = ctx.mem();
-    std::uint32_t remote = 0;
-    if (mem.device()->mode() != cxl::CoherenceMode::NoHwcc || n <= 1) {
-        // Coherent CAS costs no device round trip: nothing to amortize.
-        for (std::uint32_t i = 0; i < n; i++) {
-            remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
-        }
-        return remote;
+    CXL_ASSERT(contains(offset), "free of non-heap offset");
+    auto slab = static_cast<std::uint32_t>((offset - data_base_) /
+                                           slab_size_);
+    // Re-read every round: a steal in an earlier round's serial drain may
+    // have made the slab local.
+    if (owner(mem, slab) == mem.tid()) {
+        return Stage::Serial;
     }
-    std::vector<cxl::HeapOffset> pending(offsets, offsets + n);
-    cxl::McasBackoff backoff;
-    while (!pending.empty()) {
-        std::vector<cxl::HeapOffset> retry;
-        // Offsets needing serial work — final decrements (counter would
-        // hit zero and steal) and frees of slabs we own — drain AFTER the
-        // ring empties: the serial path's own mCAS asserts an empty ring.
-        std::vector<cxl::HeapOffset> serial;
-        std::uint32_t staged_slab[cxl::kNmpRingSlots];
-        cxl::HeapOffset staged_off[cxl::kNmpRingSlots];
-        cxl::McasOperand staged_op[cxl::kNmpRingSlots];
-        std::uint16_t last_ver = 0;
-        std::uint32_t staged = 0;
-        for (cxl::HeapOffset offset : pending) {
-            auto slab = static_cast<std::uint32_t>((offset - data_base_) /
-                                                   slab_size_);
-            // Re-check ownership every round: a steal in an earlier
-            // round's serial phase may have made this slab local.
-            if (owner(mem, slab) == mem.tid()) {
-                serial.push_back(offset);
-                continue;
-            }
-            if (staged == cxl::kNmpRingSlots) {
-                retry.push_back(offset);
-                continue;
-            }
-            // One operand per target pod-wide (Fig. 6(b)): a same-slab
-            // duplicate this round would doom itself against our own
-            // earlier slot.
-            bool dup = false;
-            for (std::uint32_t k = 0; k < staged; k++) {
-                dup |= staged_slab[k] == slab;
-            }
-            if (dup) {
-                retry.push_back(offset);
-                continue;
-            }
-            std::uint64_t word = mem.atomic_load64(hwcc(slab));
-            std::uint32_t cur = DcasWord::value(word);
-            CXL_ASSERT(cur > 0,
-                       "remote-free counter underflow (double free?)");
-            if (cur == 1) {
-                serial.push_back(offset);
-                continue;
-            }
-            // cur >= 2, so a successful staged CAS lands a counter >= 1:
-            // a batched operand can never be the stealing decrement.
-            // A counter that moves before the doorbell fails the operand,
-            // which then retries next round.
-            std::uint16_t ver = ts.next_version();
-            staged_op[staged] =
-                dcas_->stage(mem, hwcc(slab), word, cur - 1, ver);
-            staged_slab[staged] = slab;
-            staged_off[staged] = offset;
-            last_ver = ver;
-            staged++;
+    for (std::uint32_t k = 0; k < n; k++) {
+        if (staged[k].target == hwcc(slab)) {
+            return Stage::Busy;
         }
-        if (staged > 0) {
-            // Post only after the scan: stage() records help via the
-            // serial mCAS path, which requires an empty ring.
-            for (std::uint32_t k = 0; k < staged; k++) {
-                bool posted = mem.mcas_post(staged_op[k]);
-                CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
-            }
-            ctx.maybe_crash(crashpoint::kMidBatchStage);
-            // One record covers the whole ring; per-operand redo state is
-            // the ring itself (device memory, survives the crash).
-            log_->log(mem,
-                      OpRecord{.op = Op::FreeRemoteBatch,
-                               .large_heap = large_,
-                               .aux = static_cast<std::uint16_t>(staged),
-                               .version = last_ver,
-                               .index = staged_slab[0]});
-            ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
-            mem.mcas_doorbell();
-            ctx.maybe_crash(crashpoint::kMidBatchDrain);
-            bool conflicted = false;
-            for (std::uint32_t k = 0; k < staged; k++) {
-                cxl::McasResult r;
-                bool polled = mem.mcas_poll(&r);
-                CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
-                if (r.success) {
-                    remote++;
-                } else {
-                    conflicted |= r.conflict;
-                    retry.push_back(staged_off[k]);
-                }
-            }
-            if (conflicted) {
-                mem.charge(backoff.next_ns());
-            } else {
-                backoff.reset();
-            }
-        }
-        for (cxl::HeapOffset offset : serial) {
-            auto slab = static_cast<std::uint32_t>((offset - data_base_) /
-                                                   slab_size_);
-            if (owner(mem, slab) == mem.tid()) {
-                remote += deallocate(ctx, ts, offset) ? 1 : 0;
-            } else {
-                free_remote(ctx, ts, slab);
-                remote++;
-            }
-        }
-        pending = std::move(retry);
     }
-    return remote;
+    std::uint64_t word = mem.atomic_load64(hwcc(slab));
+    std::uint32_t cur = DcasWord::value(word);
+    CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
+    if (cur == 1) {
+        return Stage::Serial;
+    }
+    // cur >= 2, so a landed operand leaves a counter >= 1. A counter that
+    // moves before the doorbell fails the operand, which retries.
+    staged[n] = dcas_->stage(mem, hwcc(slab), word, cur - 1,
+                             ts.next_version());
+    return Stage::Staged;
+}
+
+bool
+SlabHeap::redo_decrement(pod::ThreadContext& ctx, ThreadState& ts,
+                         cxl::HeapOffset counter)
+{
+    if (counter < hwcc_base_ || (counter - hwcc_base_) / 8 >= num_slabs_) {
+        return false;
+    }
+    CXL_ASSERT((counter - hwcc_base_) % 8 == 0,
+               "batched operand misaligned in counter region");
+    free_remote(ctx, ts,
+                static_cast<std::uint32_t>((counter - hwcc_base_) / 8));
+    return true;
 }
 
 void
@@ -1134,45 +1056,6 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
                 acquire_to_unsized(ctx, slab);
                 trim_unsized(ctx, ts);
             }
-        }
-        break;
-      }
-      case Op::FreeRemoteBatch: {
-        // The record only says "a batch was in flight"; the per-operand
-        // redo state is the thread's NMP operand ring, which is device
-        // memory and survived the crash. Snapshot it, release it (the
-        // serial redo path below posts its own operands and requires an
-        // empty ring), then redo every decrement that never landed. Each
-        // slot's own state says whether it did: did_succeed cannot, since
-        // a foreign CAS displacing a LATER operand's tag moves help[t]
-        // past the versions of earlier operands that failed.
-        cxl::Nmp& nmp = ctx.process().pod().nmp();
-        cxl::NmpSlotView views[cxl::kNmpRingSlots];
-        std::uint32_t live =
-            nmp.ring_snapshot(mem.tid(), views, cxl::kNmpRingSlots);
-        nmp.reset_ring(mem.tid());
-        for (std::uint32_t i = 0; i < live; i++) {
-            const cxl::NmpSlotView& v = views[i];
-            if (v.op.target < hwcc_base_ ||
-                (v.op.target - hwcc_base_) / 8 >= num_slabs_) {
-                // Staged by a LATER batch of the other heap that crashed
-                // before logging its record: that batch never happened.
-                continue;
-            }
-            CXL_ASSERT((v.op.target - hwcc_base_) % 8 == 0,
-                       "batched operand misaligned in counter region");
-            auto s = static_cast<std::uint32_t>(
-                (v.op.target - hwcc_base_) / 8);
-            CXL_ASSERT(DcasWord::tid(v.op.swap) == mem.tid(),
-                       "foreign operand in adopted ring");
-            bool landed = v.state == cxl::NmpSlotState::Executed &&
-                          v.result.success;
-            if (!landed) {
-                // Never rung, or failed at the doorbell: redo serially.
-                free_remote(ctx, ts, s);
-            }
-            // else: it landed with a counter >= 1 by construction (final
-            // decrements never ride the ring), so no steal to finish.
         }
         break;
       }

@@ -51,18 +51,24 @@ class SlabHeap {
     bool deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                     cxl::HeapOffset offset);
 
-    /// Frees @p n blocks of this heap in one drain. Semantically equal to
-    /// n deallocate() calls; under NoHwcc the remote decrements of
-    /// DISTINCT slabs share batched NMP doorbells (one device round trip
-    /// per ring, §4) instead of one round trip each. Final decrements
-    /// (counter would reach zero and steal) stay on the serial path so a
-    /// batched operand can never land a zero counter — the invariant the
-    /// Op::FreeRemoteBatch recovery case relies on. Conflicted operands
-    /// retry with bounded exponential backoff. Returns the number of
-    /// frees that took the remote path.
-    std::uint32_t deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
-                                   const cxl::HeapOffset* offsets,
-                                   std::uint32_t n);
+    /// One offset's step in a batched free (CxlAllocator::free_batch).
+    /// Serial: the caller owns the slab, or the counter stands at 1 — that
+    /// decrement steals the slab, so a batched operand never lands a zero
+    /// counter (batch recovery relies on it). Busy: one of the @p n
+    /// operands in @p staged already targets the slab's counter, and a
+    /// second would doom itself (Fig. 6(b)). Staged: the decrement, under
+    /// a fresh version of @p ts, is now @p staged[n]. stage() may record
+    /// help through a serial mCAS, so nothing may be posted yet.
+    enum class Stage { Serial, Busy, Staged };
+    Stage stage_free(cxl::MemSession& mem, ThreadState& ts,
+                     cxl::HeapOffset offset, cxl::McasOperand* staged,
+                     std::uint32_t n);
+
+    /// Batch recovery: serially redoes a staged decrement of @p counter
+    /// that never landed. Returns false when @p counter is not one of this
+    /// heap's counters.
+    bool redo_decrement(pod::ThreadContext& ctx, ThreadState& ts,
+                        cxl::HeapOffset counter);
 
     /// True if @p offset lies in this heap's data region.
     bool contains(cxl::HeapOffset offset) const;

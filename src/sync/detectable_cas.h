@@ -80,11 +80,14 @@ inline constexpr std::uint16_t kSelfHelpSlack = 256;
 ///     record.
 ///  3. Every caller logs a new record naming v before a CAS with a new
 ///     version v, so once t installs v, v' is no longer named. The one
-///     exception is SlabHeap::deallocate_batch's stage(), which runs
-///     before that round's record is logged. Its operand executes only
-///     at the doorbell, after the record is logged; until then the word
-///     still holds (t, v'), so an older record's query reads the tag
-///     itself. Hence (t, v') is never queried again once displaced.
+///     exception is CxlAllocator::free_batch's stage(), which runs before
+///     the round's records are logged. A round may stage into several
+///     shards, but versions, help arrays and records are all per shard,
+///     and every touched shard's record is logged under the round's one
+///     fence before the doorbell, the only point where any operand
+///     executes. Until then each word still holds (t, v'), so an older
+///     record's query reads the tag itself. Hence (t, v') is never
+///     queried again once displaced.
 ///  4. The clients agree: the slab heap (PopGlobal, Extend, FreeRemote,
 ///     PushGlobal log per attempt; FreeRemoteBatch recovery reads each
 ///     ring slot's result and never asks), the huge heap (HugeReserve
@@ -109,7 +112,7 @@ inline constexpr std::uint16_t kSelfHelpSlack = 256;
 /// entry is loaded and CASed as usual, and the floor refreshed.
 /// Guarded by DetectableCas.SelfDisplacementCosts*, .CasFromLoadedWord*,
 /// .WrapAware*, .ForeignDisplacementAfterSkips*, .FloorStaysALowerBound*
-/// and DeallocateBatchCrash.RetryRoundSweep.
+/// and DeallocateBatchCrash.{RetryRoundSweep,CrossShardRetryRoundSweep}.
 class DetectableCas {
   public:
     /// @param help_base  offset of the help array: (kMaxThreads + 1) 64-bit

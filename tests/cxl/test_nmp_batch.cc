@@ -2,16 +2,21 @@
 /// partial-batch conflicts, ring wrap-around and full-ring rejection at the
 /// engine level; then the allocator's batched remote-free drain, including
 /// a crash inside a half-submitted batch recovered through the §5.1
-/// machinery (the operand ring is device memory and survives the crash).
+/// machinery (the operand ring is device memory and survives the crash),
+/// on one heap and across the shards and heaps of a pod.
 
 #include "cxl/nmp.h"
 
 #include <gtest/gtest.h>
 #include <functional>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "../cxlalloc/fixture.h"
+#include "cxlalloc/pod_shard.h"
+#include "pod/topology.h"
 #include "sched/hook.h"
 
 namespace {
@@ -392,9 +397,8 @@ batch_crash_roundtrip(int point)
     // Overwrite t2's record with a completed serial op (alloc + local
     // free) so a kMidBatchStage crash finds a NON-batch record: recovery
     // must then discard the staged-but-unlogged operand rather than redo
-    // it. (With a stale FreeRemoteBatch record, redoing it would also be
-    // correct — staged operands apply exactly once either way — but the
-    // discard path is the one this test pins down.)
+    // it. (A stale FreeRemoteBatch record is discarded the same way: it
+    // names none of the staged operands' versions.)
     cxl::HeapOffset scratch = rig.alloc.allocate(*t2, 64);
     ASSERT_NE(scratch, 0u);
     rig.alloc.deallocate(*t2, scratch);
@@ -605,6 +609,277 @@ TEST(DeallocateBatchCrash, RetryRoundSweep)
     }
 }
 
+
+// -------------------------- batches across a pod ---------------------------
+
+using cxlalloc::PodShardedAllocator;
+namespace cp = cxlalloc::crashpoint;
+
+/// A 2-host x 2-device NoHwcc pod with one small shard per device; host h
+/// is homed on device h.
+struct PodRig {
+    explicit PodRig(bool simulate_cache = false)
+    {
+        cfg.small_slabs = 8;
+        cfg.large_slabs = 4;
+        cfg.huge_regions = 2;
+        cfg.huge_region_size = 1 << 20;
+        cfg.huge_descs_per_thread = 4;
+        cfg.hazard_slots_per_thread = 4;
+        cxl::EdgeCost far;
+        far.read_add_ns = 100;
+        far.write_add_ns = 150;
+        pod::Topology topo = pod::Topology::dense(2, 2, cxl::EdgeCost{}, far);
+        pod::PodConfig pc;
+        pc.device = PodShardedAllocator::device_config(
+            cfg, topo, cxl::CoherenceMode::NoHwcc, simulate_cache);
+        pc.topology = topo;
+        pod = std::make_unique<pod::Pod>(pc);
+        alloc = std::make_unique<PodShardedAllocator>(*pod, cfg);
+        for (pod::HostId h = 0; h < 2; h++) {
+            procs.push_back(pod->create_process(h));
+            alloc->attach(*procs.back());
+        }
+    }
+
+    std::unique_ptr<pod::ThreadContext>
+    thread(pod::HostId host)
+    {
+        auto ctx = pod->create_thread(procs[host]);
+        alloc->attach_thread(*ctx);
+        return ctx;
+    }
+
+    cxl::DeviceId device_of(cxl::HeapOffset p)
+    {
+        return pod->device().device_of(p);
+    }
+
+    /// HWcc remote-free counter word of the slab holding @p p.
+    cxl::HeapOffset
+    counter_word(cxl::HeapOffset p)
+    {
+        const cxlalloc::Layout& l = alloc->shard(device_of(p)).layout();
+        if (p >= l.large_data()) {
+            return l.large_hwcc_desc(static_cast<std::uint32_t>(
+                (p - l.large_data()) / cxlalloc::kLargeSlabSize));
+        }
+        return l.small_hwcc_desc(static_cast<std::uint32_t>(
+            (p - l.small_data()) / cxlalloc::kSmallSlabSize));
+    }
+
+    std::uint32_t
+    counter(cxl::MemSession& mem, cxl::HeapOffset p)
+    {
+        return cxlsync::DcasWord::value(mem.atomic_load64(counter_word(p)));
+    }
+
+    cxlalloc::Config cfg;
+    std::unique_ptr<pod::Pod> pod;
+    std::unique_ptr<PodShardedAllocator> alloc;
+    std::vector<pod::Process*> procs;
+};
+
+bool
+landed(const NmpSlotView& v)
+{
+    return v.state == NmpSlotState::Executed && v.result.success;
+}
+
+TEST(DeallocateBatch, OneDoorbellAcrossShardsAndHeaps)
+{
+    PodRig w;
+    auto o0 = w.thread(0); // owns the shard-0 slabs
+    auto o1 = w.thread(1); // owns the shard-1 slabs
+    auto f = w.thread(0);  // frees them all remotely
+    std::vector<cxl::HeapOffset> offs;
+    std::set<std::pair<cxl::DeviceId, bool>> pieces;
+    for (pod::ThreadContext* o : {o0.get(), o1.get()}) {
+        for (std::uint64_t size : {64, 1024, 4096, 16384}) {
+            cxl::HeapOffset p = w.alloc->allocate(*o, size);
+            ASSERT_NE(p, 0u);
+            offs.push_back(p);
+            pieces.insert({w.device_of(p), size > cxlalloc::kSmallMax});
+        }
+    }
+    ASSERT_EQ(pieces.size(), 4u) << "batch must span 2 shards x 2 heaps";
+    std::vector<std::uint32_t> c0;
+    for (cxl::HeapOffset p : offs) {
+        c0.push_back(w.counter(f->mem(), p));
+    }
+    cxl::MemEventCounters before = f->mem().counters();
+    w.alloc->deallocate_batch(*f, offs.data(),
+                              static_cast<std::uint32_t>(offs.size()));
+    const cxl::MemEventCounters& after = f->mem().counters();
+    // One doorbell carried every decrement of both shards and heaps.
+    EXPECT_EQ(after.mcas_batches - before.mcas_batches, 1u);
+    EXPECT_EQ(after.mcas_batch_ops - before.mcas_batch_ops, 8u);
+    EXPECT_EQ(after.mcas_conflicts - before.mcas_conflicts, 0u);
+    for (std::size_t i = 0; i < offs.size(); i++) {
+        EXPECT_EQ(w.counter(f->mem(), offs[i]), c0[i] - 1);
+    }
+    w.alloc->check_invariants(f->mem());
+    w.pod->release_thread(std::move(o0));
+    w.pod->release_thread(std::move(o1));
+    w.pod->release_thread(std::move(f));
+}
+
+TEST(DeallocateBatchCrash, StaleBatchRecordOfAnotherShardDoesNotHideTheRound)
+{
+    // A completed batch into shard 0 leaves a FreeRemoteBatch record
+    // there: records are never cleared after a completed op. A later
+    // batch into shard 1 crashes after logging its round, before the
+    // doorbell. Recovery must redo shard 1's logged operand; a stale
+    // record must not claim (and discard) the thread's ring.
+    PodRig w;
+    auto o0 = w.thread(0);
+    auto o1 = w.thread(1);
+    auto f = w.thread(0);
+    std::vector<cxl::HeapOffset> a, b;
+    for (int i = 0; i < 4; i++) {
+        a.push_back(w.alloc->allocate(*o0, 1024));
+        b.push_back(w.alloc->allocate(*o1, 1024));
+    }
+    ASSERT_EQ(w.device_of(a[0]), 0u);
+    ASSERT_EQ(w.device_of(b[0]), 1u);
+    w.alloc->deallocate_batch(*f, a.data(), 4);
+    ASSERT_EQ(w.alloc->shard(0).pending_record(*f).op,
+              cxlalloc::Op::FreeRemoteBatch);
+    std::uint32_t before = w.counter(o1->mem(), b[0]);
+
+    // One slab: the first round stages b[0] alone.
+    f->arm_crash(cp::kMidBatchDoorbell, 1);
+    EXPECT_THROW(w.alloc->deallocate_batch(*f, b.data(), 4), ThreadCrashed);
+    cxl::ThreadId tid = f->tid();
+    w.pod->mark_crashed(std::move(f));
+    NmpSlotView ring[kNmpRingSlots];
+    ASSERT_EQ(w.pod->nmp().ring_snapshot(tid, ring, kNmpRingSlots), 1u);
+
+    f = w.pod->adopt_thread(w.procs[0], tid);
+    w.alloc->recover(*f);
+    w.alloc->check_invariants(f->mem());
+    EXPECT_EQ(w.counter(o1->mem(), b[0]), before - 1)
+        << "the logged decrement of b[0] was lost";
+    EXPECT_TRUE(cxlsync::version_geq(
+        w.alloc->shard(1).thread_state(tid).version,
+        cxlsync::DcasWord::version(ring[0].op.swap)));
+    w.alloc->deallocate_batch(*f, b.data() + 1, 3);
+    EXPECT_EQ(w.counter(o1->mem(), b[0]), before - 4);
+    w.alloc->check_invariants(f->mem());
+    w.pod->release_thread(std::move(o0));
+    w.pod->release_thread(std::move(o1));
+    w.pod->release_thread(std::move(f));
+}
+
+TEST(DeallocateBatchCrash, CrossShardRetryRoundSweep)
+{
+    // RetryRoundSweep over a pod: each round's one doorbell carries the
+    // decrements of four victim slabs, small and large in both shards.
+    // Four same-slab duplicates each force four rounds; local frees put
+    // kAfterRecord between rounds. At every countdown of every point,
+    // under both severities, each decrement lands exactly once: recovery
+    // redoes a round's unlanded operands iff its records were logged
+    // (doorbell and drain points, not the stage point), and no shard
+    // resumes at a version the round took there.
+    for (auto severity :
+         {pod::Pod::CrashSeverity::Process, pod::Pod::CrashSeverity::Host}) {
+        for (int point : {cp::kAfterRecord, cp::kMidBatchStage,
+                          cp::kMidBatchDoorbell, cp::kMidBatchDrain}) {
+            bool completed = false;
+            std::uint32_t crashes = 0;
+            for (std::uint32_t countdown = 1; !completed; countdown++) {
+                ASSERT_LE(countdown, 64u) << "batch never completed";
+                PodRig w(/*simulate_cache=*/true);
+                auto o0 = w.thread(0);
+                auto o1 = w.thread(1);
+                auto f = w.thread(0);
+                std::vector<cxl::HeapOffset> victim[4];
+                for (int i = 0; i < 8; i++) {
+                    victim[0].push_back(w.alloc->allocate(*o0, 1024));
+                    victim[1].push_back(w.alloc->allocate(*o0, 4096));
+                    victim[2].push_back(w.alloc->allocate(*o1, 1024));
+                    victim[3].push_back(w.alloc->allocate(*o1, 4096));
+                }
+                ASSERT_EQ(w.device_of(victim[0][0]), 0u);
+                ASSERT_EQ(w.device_of(victim[3][0]), 1u);
+                std::vector<cxl::HeapOffset> offs;
+                for (int i = 0; i < 4; i++) {
+                    for (auto& v : victim) {
+                        offs.push_back(v[i]);
+                    }
+                    offs.push_back(w.alloc->allocate(*f, 64));
+                }
+                for (cxl::HeapOffset p : offs) {
+                    ASSERT_NE(p, 0u);
+                }
+                std::uint32_t c0[4];
+                for (int v = 0; v < 4; v++) {
+                    c0[v] = w.counter(o0->mem(), victim[v][0]);
+                }
+                f->arm_crash(point, countdown);
+                try {
+                    w.alloc->deallocate_batch(
+                        *f, offs.data(),
+                        static_cast<std::uint32_t>(offs.size()));
+                    f->disarm_crash();
+                    completed = true;
+                } catch (const ThreadCrashed&) {
+                    crashes++;
+                    cxl::ThreadId tid = f->tid();
+                    w.pod->mark_crashed(std::move(f), severity);
+                    // Recovery's input as the crash left it.
+                    NmpSlotView ring[kNmpRingSlots];
+                    std::uint32_t live =
+                        w.pod->nmp().ring_snapshot(tid, ring, kNmpRingSlots);
+                    std::uint32_t mid[4];
+                    for (int v = 0; v < 4; v++) {
+                        mid[v] = w.counter(o0->mem(), victim[v][0]);
+                    }
+                    bool logged = point == cp::kMidBatchDoorbell ||
+                                  point == cp::kMidBatchDrain;
+                    f = w.pod->adopt_thread(w.procs[0], tid);
+                    w.alloc->recover(*f);
+                    for (int v = 0; v < 4; v++) {
+                        std::uint32_t redo = 0;
+                        for (std::uint32_t i = 0; i < live; i++) {
+                            redo += logged && !landed(ring[i]) &&
+                                    ring[i].op.target ==
+                                        w.counter_word(victim[v][0]);
+                        }
+                        EXPECT_EQ(w.counter(o0->mem(), victim[v][0]),
+                                  mid[v] - redo)
+                            << "victim " << v << " point " << point
+                            << " countdown " << countdown;
+                    }
+                    for (std::uint32_t i = 0; i < live; i++) {
+                        cxl::DeviceId d = w.device_of(ring[i].op.target);
+                        EXPECT_TRUE(cxlsync::version_geq(
+                            w.alloc->shard(d).thread_state(tid).version,
+                            cxlsync::DcasWord::version(ring[i].op.swap)))
+                            << "shard " << d << " reissues a batch version";
+                    }
+                }
+                w.alloc->check_invariants(f->mem());
+                for (cxl::DeviceId d = 0; d < 2; d++) {
+                    w.alloc->shard(d).check_local_invariants(f->mem());
+                }
+                for (int v = 0; v < 4; v++) {
+                    std::uint32_t now = w.counter(o0->mem(), victim[v][0]);
+                    // Four decrements per slab at most, exactly four when
+                    // the call completed.
+                    EXPECT_GE(now, c0[v] - 4) << "victim " << v;
+                    if (completed) {
+                        EXPECT_EQ(now, c0[v] - 4) << "victim " << v;
+                    }
+                }
+                w.pod->release_thread(std::move(o0));
+                w.pod->release_thread(std::move(o1));
+                w.pod->release_thread(std::move(f));
+            }
+            EXPECT_GE(crashes, 4u) << "point " << point;
+        }
+    }
+}
 
 /// Runs @p action once, the first time the calling OS thread reaches a
 /// hook of kind @p op on @p addr. Hooks dispatch with the listener
