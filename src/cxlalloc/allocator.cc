@@ -389,13 +389,14 @@ CxlAllocator::recover(pod::ThreadContext& ctx, const cxl::NmpSlotView* ring,
         // Ownership may have changed during redo: rebuild once more.
         huge_.rebuild_thread_state(ctx, pt.state);
         break;
-      default:
-        if (record.large_heap) {
-            large_.recover(ctx, pt.state, record);
-        } else {
-            small_.recover(ctx, pt.state, record);
-        }
+      default: {
+        // Only the record's own operation can have been inside a list
+        // operation, so only its heap's lists can be out of step.
+        SlabHeap& heap = record.large_heap ? large_ : small_;
+        heap.repair_local_lists(mem);
+        heap.recover(ctx, pt.state, record);
         break;
+      }
     }
     log_.clear(mem);
     if (inst_.registry != nullptr) {

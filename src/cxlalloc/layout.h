@@ -93,7 +93,10 @@ struct Config {
 ///        full/empty transition checks O(1) instead of O(words). Zeroed
 ///        memory is still a valid empty heap: 0 free blocks matches an
 ///        all-zero bitset. Rebuilt from the bitset by crash recovery.)
+///   +12 prev   u32  (OptIndex raw: sized-list back link)
 ///   +16 free bitset (u64 words; bit set = block free)
+/// Bytes 0-7 (next..state) and 8-15 (hint..prev) are the two descriptor
+/// words SlabHeap reads with one 8-byte load each.
 struct DescField {
     static constexpr std::uint64_t kNext = 0;
     static constexpr std::uint64_t kOwner = 4;
@@ -101,6 +104,7 @@ struct DescField {
     static constexpr std::uint64_t kState = 7;
     static constexpr std::uint64_t kHint = 8;
     static constexpr std::uint64_t kFree = 10;
+    static constexpr std::uint64_t kPrev = 12;
     static constexpr std::uint64_t kBitset = 16;
 };
 

@@ -337,10 +337,8 @@ PodShardedAllocator::recover(pod::ThreadContext& ctx)
     // any shard's redo posts a serial mCAS. Each shard then redoes the
     // ring operands of the batch round its own record names, if any (a
     // round may span shards; a stale FreeRemoteBatch record names none).
-    // Every shard also redoes its last record, which may be stale: most
-    // redo cases are idempotent on a completed op, but not all of them (a
-    // stale FreeLocal against a since-emptied, classless slab aborts; see
-    // podbench's IdleRestartDeathTest).
+    // Every shard also redoes its last record, which may be stale, so each
+    // redo case must be idempotent on a completed op (RECOVERY.md §2).
     cxl::NmpSlotView ring[cxl::kNmpRingSlots];
     std::uint32_t live =
         pod_.nmp().ring_snapshot(ctx.tid(), ring, cxl::kNmpRingSlots);

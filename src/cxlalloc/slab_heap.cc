@@ -1,5 +1,6 @@
 #include "cxlalloc/slab_heap.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/assert.h"
@@ -82,6 +83,51 @@ SlabHeap::slab_data(std::uint32_t slab) const
     return data_base_ + static_cast<cxl::HeapOffset>(slab) * slab_size_;
 }
 
+// Word 0 and word 1 decode by byte position (DescField): the fields are
+// stored individually elsewhere, so this relies on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
+static_assert(DescField::kNext == 0 && DescField::kOwner == 4 &&
+              DescField::kClass == 6 && DescField::kState == 7 &&
+              DescField::kHint == 8 && DescField::kFree == 10 &&
+              DescField::kPrev == 12);
+
+SlabHeap::Word0
+SlabHeap::word0(cxl::MemSession& mem, std::uint32_t slab)
+{
+    auto v = mem.load<std::uint64_t>(desc(slab));
+    return Word0{.next = static_cast<std::uint32_t>(v),
+                 .owner = static_cast<cxl::ThreadId>(v >> 32),
+                 .cls = static_cast<std::uint8_t>(v >> 48),
+                 .state = static_cast<SlabState>(v >> 56)};
+}
+
+void
+SlabHeap::set_word0(cxl::MemSession& mem, std::uint32_t slab, const Word0& w)
+{
+    mem.store<std::uint64_t>(
+        desc(slab), std::uint64_t{w.next} | std::uint64_t{w.owner} << 32 |
+                        std::uint64_t{w.cls} << 48 |
+                        std::uint64_t{static_cast<std::uint8_t>(w.state)}
+                            << 56);
+}
+
+SlabHeap::Word1
+SlabHeap::word1(cxl::MemSession& mem, std::uint32_t slab)
+{
+    auto v = mem.load<std::uint64_t>(desc(slab) + DescField::kHint);
+    return Word1{.hint = static_cast<std::uint16_t>(v),
+                 .free = static_cast<std::uint16_t>(v >> 16),
+                 .prev = static_cast<std::uint32_t>(v >> 32)};
+}
+
+void
+SlabHeap::set_hint_free(cxl::MemSession& mem, std::uint32_t slab,
+                        std::uint32_t hint, std::uint32_t free)
+{
+    CXL_ASSERT(free <= 0xffff, "free-block count exceeds field width");
+    mem.store<std::uint32_t>(desc(slab) + DescField::kHint, hint | free << 16);
+}
+
 std::uint32_t
 SlabHeap::next_raw(cxl::MemSession& mem, std::uint32_t slab)
 {
@@ -89,56 +135,10 @@ SlabHeap::next_raw(cxl::MemSession& mem, std::uint32_t slab)
 }
 
 void
-SlabHeap::set_next_raw(cxl::MemSession& mem, std::uint32_t slab,
-                       std::uint32_t raw)
-{
-    mem.store<std::uint32_t>(desc(slab) + DescField::kNext, raw);
-}
-
-std::uint32_t
-SlabHeap::prev_raw(cxl::MemSession& mem, std::uint32_t slab)
-{
-    return mem.load<std::uint32_t>(desc(slab) + 12);
-}
-
-void
 SlabHeap::set_prev_raw(cxl::MemSession& mem, std::uint32_t slab,
                        std::uint32_t raw)
 {
-    mem.store<std::uint32_t>(desc(slab) + 12, raw);
-}
-
-cxl::ThreadId
-SlabHeap::owner(cxl::MemSession& mem, std::uint32_t slab)
-{
-    return mem.load<cxl::ThreadId>(desc(slab) + DescField::kOwner);
-}
-
-void
-SlabHeap::set_owner(cxl::MemSession& mem, std::uint32_t slab,
-                    cxl::ThreadId tid)
-{
-    mem.store<cxl::ThreadId>(desc(slab) + DescField::kOwner, tid);
-}
-
-std::uint8_t
-SlabHeap::class_biased(cxl::MemSession& mem, std::uint32_t slab)
-{
-    return mem.load<std::uint8_t>(desc(slab) + DescField::kClass);
-}
-
-void
-SlabHeap::set_class_biased(cxl::MemSession& mem, std::uint32_t slab,
-                           std::uint8_t biased)
-{
-    mem.store<std::uint8_t>(desc(slab) + DescField::kClass, biased);
-}
-
-SlabState
-SlabHeap::state(cxl::MemSession& mem, std::uint32_t slab)
-{
-    return static_cast<SlabState>(
-        mem.load<std::uint8_t>(desc(slab) + DescField::kState));
+    mem.store<std::uint32_t>(desc(slab) + DescField::kPrev, raw);
 }
 
 void
@@ -180,19 +180,10 @@ SlabHeap::bitset_words(std::uint32_t cls) const
     return (blocks_of(cls) + 63) / 64;
 }
 
-std::uint32_t
-SlabHeap::free_blocks(cxl::MemSession& mem, std::uint32_t slab)
+cxl::HeapOffset
+SlabHeap::bit_word(std::uint32_t slab, std::uint32_t block) const
 {
-    return mem.load<std::uint16_t>(desc(slab) + DescField::kFree);
-}
-
-void
-SlabHeap::set_free_blocks(cxl::MemSession& mem, std::uint32_t slab,
-                          std::uint32_t count)
-{
-    CXL_ASSERT(count <= 0xffff, "free-block count exceeds field width");
-    mem.store<std::uint16_t>(desc(slab) + DescField::kFree,
-                             static_cast<std::uint16_t>(count));
+    return desc(slab) + DescField::kBitset + (block / 64) * 8;
 }
 
 void
@@ -214,93 +205,7 @@ SlabHeap::bitset_fill(cxl::MemSession& mem, std::uint32_t slab,
         }
         mem.store<std::uint64_t>(base + w * 8, value);
     }
-    mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
-    set_free_blocks(mem, slab, blocks);
-}
-
-std::uint32_t
-SlabHeap::bitset_peek(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t cls, bool advance_hint)
-{
-    cxl::HeapOffset d = desc(slab);
-    std::uint32_t words = bitset_words(cls);
-    std::uint32_t hint = mem.load<std::uint16_t>(d + DescField::kHint);
-    for (std::uint32_t w = hint; w < words; w++) {
-        std::uint64_t word = mem.load<std::uint64_t>(d + DescField::kBitset +
-                                                     w * 8);
-        if (word != 0) {
-            if (advance_hint && w != hint) {
-                mem.store<std::uint16_t>(d + DescField::kHint,
-                                         static_cast<std::uint16_t>(w));
-            }
-            return w * 64 + std::countr_zero(word);
-        }
-    }
-    return kNoBlock;
-}
-
-std::uint32_t
-SlabHeap::bitset_clear(cxl::MemSession& mem, std::uint32_t slab,
-                       std::uint32_t block)
-{
-    cxl::HeapOffset at = desc(slab) + DescField::kBitset + (block / 64) * 8;
-    std::uint64_t word = mem.load<std::uint64_t>(at);
-    std::uint64_t mask = std::uint64_t{1} << (block % 64);
-    std::uint32_t free = free_blocks(mem, slab);
-    // Idempotent redo may replay a clear that already landed: only touch
-    // the counter when the bit actually flips.
-    if ((word & mask) != 0) {
-        mem.store<std::uint64_t>(at, word & ~mask);
-        CXL_ASSERT(free > 0, "free-block counter underflow");
-        free--;
-        set_free_blocks(mem, slab, free);
-    }
-    return free;
-}
-
-bool
-SlabHeap::bitset_test(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t block)
-{
-    cxl::HeapOffset at = desc(slab) + DescField::kBitset + (block / 64) * 8;
-    return (mem.load<std::uint64_t>(at) >> (block % 64)) & 1;
-}
-
-std::uint32_t
-SlabHeap::bitset_set(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t block)
-{
-    cxl::HeapOffset d = desc(slab);
-    cxl::HeapOffset at = d + DescField::kBitset + (block / 64) * 8;
-    std::uint64_t word = mem.load<std::uint64_t>(at);
-    std::uint64_t mask = std::uint64_t{1} << (block % 64);
-    std::uint32_t free = free_blocks(mem, slab);
-    if ((word & mask) == 0) {
-        mem.store<std::uint64_t>(at, word | mask);
-        free++;
-        set_free_blocks(mem, slab, free);
-    }
-    // Keep the scan hint conservative: no set bit below word `hint`.
-    std::uint16_t hint = mem.load<std::uint16_t>(d + DescField::kHint);
-    if (block / 64 < hint) {
-        mem.store<std::uint16_t>(d + DescField::kHint,
-                                 static_cast<std::uint16_t>(block / 64));
-    }
-    return free;
-}
-
-bool
-SlabHeap::bitset_none(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t cls)
-{
-    cxl::HeapOffset base = desc(slab) + DescField::kBitset;
-    std::uint32_t words = bitset_words(cls);
-    for (std::uint32_t w = 0; w < words; w++) {
-        if (mem.load<std::uint64_t>(base + w * 8) != 0) {
-            return false;
-        }
-    }
-    return true;
+    set_hint_free(mem, slab, 0, blocks);
 }
 
 std::uint32_t
@@ -345,58 +250,63 @@ SlabHeap::unsized_count_off(cxl::ThreadId tid) const
 }
 
 void
-SlabHeap::push_sized(cxl::MemSession& mem, std::uint32_t cls,
-                     std::uint32_t slab)
+SlabHeap::push_sized(cxl::MemSession& mem, std::uint32_t slab, Word0 w)
 {
-    cxl::HeapOffset head = sized_head_off(mem.tid(), cls);
+    cxl::HeapOffset head = sized_head_off(mem.tid(), w.cls - 1);
     std::uint32_t old = mem.load<std::uint32_t>(head);
-    set_next_raw(mem, slab, old);
+    if (old == slab + 1) {
+        // A redo of a push that stopped short of its state store.
+        set_state(mem, slab, SlabState::TlSized);
+        return;
+    }
+    w.next = old;
+    set_word0(mem, slab, w);
     set_prev_raw(mem, slab, 0);
     if (old != 0) {
         set_prev_raw(mem, old - 1, slab + 1);
     }
     mem.store<std::uint32_t>(head, slab + 1);
+    // Last: recovery reads TlSized, or a head naming the slab, as "pushed".
     set_state(mem, slab, SlabState::TlSized);
 }
 
 void
 SlabHeap::remove_sized(cxl::MemSession& mem, std::uint32_t cls,
-                       std::uint32_t slab)
+                       std::uint32_t next, std::uint32_t prev)
 {
-    std::uint32_t p = prev_raw(mem, slab);
-    std::uint32_t n = next_raw(mem, slab);
-    if (p != 0) {
-        set_next_raw(mem, p - 1, n);
+    if (prev != 0) {
+        // Only the neighbor's next field: a 4-byte store into its word 0.
+        mem.store<std::uint32_t>(desc(prev - 1) + DescField::kNext, next);
     } else {
-        mem.store<std::uint32_t>(sized_head_off(mem.tid(), cls), n);
+        mem.store<std::uint32_t>(sized_head_off(mem.tid(), cls), next);
     }
-    if (n != 0) {
-        set_prev_raw(mem, n - 1, p);
+    if (next != 0) {
+        set_prev_raw(mem, next - 1, prev);
     }
-    set_next_raw(mem, slab, 0);
-    set_prev_raw(mem, slab, 0);
 }
 
 void
 SlabHeap::push_unsized(cxl::MemSession& mem, std::uint32_t slab)
 {
     cxl::HeapOffset head = unsized_head_off(mem.tid());
-    set_next_raw(mem, slab, mem.load<std::uint32_t>(head));
+    // One store sets link, owner, class and state; the head store after it
+    // makes the push visible.
+    set_word0(mem, slab,
+              Word0{.next = mem.load<std::uint32_t>(head),
+                    .owner = mem.tid(),
+                    .cls = 0,
+                    .state = SlabState::TlUnsized});
     mem.store<std::uint32_t>(head, slab + 1);
-    set_state(mem, slab, SlabState::TlUnsized);
     cxl::HeapOffset cnt = unsized_count_off(mem.tid());
     mem.store<std::uint32_t>(cnt, mem.load<std::uint32_t>(cnt) + 1);
 }
 
 std::uint32_t
-SlabHeap::pop_unsized(cxl::MemSession& mem)
+SlabHeap::pop_unsized(cxl::MemSession& mem, std::uint32_t headraw)
 {
-    cxl::HeapOffset head = unsized_head_off(mem.tid());
-    std::uint32_t raw = mem.load<std::uint32_t>(head);
-    CXL_ASSERT(raw != 0, "pop from empty unsized list");
-    std::uint32_t slab = raw - 1;
-    mem.store<std::uint32_t>(head, next_raw(mem, slab));
-    set_next_raw(mem, slab, 0);
+    CXL_ASSERT(headraw != 0, "pop from empty unsized list");
+    std::uint32_t slab = headraw - 1;
+    mem.store<std::uint32_t>(unsized_head_off(mem.tid()), next_raw(mem, slab));
     cxl::HeapOffset cnt = unsized_count_off(mem.tid());
     std::uint32_t c = mem.load<std::uint32_t>(cnt);
     mem.store<std::uint32_t>(cnt, c == 0 ? 0 : c - 1);
@@ -442,15 +352,28 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     std::uint32_t headraw = mem.load<std::uint32_t>(
         sized_head_off(mem.tid(), cls));
     if (headraw == 0) {
-        if (!refill(ctx, ts, cls)) {
+        headraw = refill(ctx, ts, cls);
+        if (headraw == 0) {
             return 0; // heap exhausted
         }
-        headraw = mem.load<std::uint32_t>(sized_head_off(mem.tid(), cls));
-        CXL_ASSERT(headraw != 0, "refill left sized list empty");
     }
     std::uint32_t slab = headraw - 1;
-    std::uint32_t block = bitset_peek(mem, slab, cls, /*advance_hint=*/true);
-    CXL_ASSERT(block != kNoBlock, "sized list contained a full slab");
+    // One load of word 1 (hint and counter), then the bitset from the hint:
+    // the word found is the word cleared.
+    Word1 w1 = word1(mem, slab);
+    cxl::HeapOffset bits = desc(slab) + DescField::kBitset;
+    std::uint32_t words = bitset_words(cls);
+    std::uint32_t w = w1.hint;
+    std::uint64_t word = 0;
+    for (; w < words; w++) {
+        word = mem.load<std::uint64_t>(bits + w * 8);
+        if (word != 0) {
+            break;
+        }
+    }
+    CXL_ASSERT(w < words, "sized list contained a full slab");
+    CXL_ASSERT(w1.free > 0, "free-block counter underflow");
+    auto block = static_cast<std::uint32_t>(w * 64 + std::countr_zero(word));
 
     // Local operation: the record needs no flush or fence (process-crash
     // recovery writes the cache back; see RecoveryLog's discipline note).
@@ -460,10 +383,11 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    std::uint32_t left = bitset_clear(mem, slab, block);
+    mem.store<std::uint64_t>(bits + w * 8, word & (word - 1));
+    std::uint32_t left = w1.free - 1u;
+    set_hint_free(mem, slab, w, left);
     ctx.maybe_crash(crashpoint::kMidAlloc);
-    // The counter answers the post-alloc fullness check in one load where
-    // bitset_none used to rescan every word.
+    // The counter answers the post-alloc fullness check without a rescan.
     CXL_PARANOID_ASSERT(left == bitset_count(mem, slab, cls),
                         "free-block counter diverged from bitset");
     if (inst_.registry != nullptr) {
@@ -471,13 +395,13 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     }
     if (left == 0) {
         // Maintain the invariant that sized lists hold only non-full slabs.
-        full_transition(ctx, slab, cls);
+        full_transition(ctx, slab, cls, w1.prev);
     }
     return slab_data(slab) + static_cast<cxl::HeapOffset>(block) *
                                  class_size_impl(large_, cls);
 }
 
-bool
+std::uint32_t
 SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
 {
     cxl::MemSession& mem = ctx.mem();
@@ -487,8 +411,8 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         std::uint32_t uh = mem.load<std::uint32_t>(
             unsized_head_off(mem.tid()));
         if (uh != 0) {
-            init_from_unsized(ctx, uh - 1, cls);
-            return true;
+            init_from_unsized(ctx, ts, uh, cls);
+            return uh; // pushed at the head of sized list cls
         }
         if (pop_global(ctx, ts)) {
             continue; // slab landed on the unsized list
@@ -499,7 +423,7 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         if (scavenge_warm_slab(ctx, ts)) {
             continue; // reclaimed an idle empty slab from another class
         }
-        return false;
+        return 0;
     }
 }
 
@@ -517,9 +441,10 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
         while (raw != 0 && steps++ <= num_slabs_) {
             std::uint32_t slab = raw - 1;
             raw = next_raw(mem, slab);
-            // Emptiness via the free counter: one load per candidate slab
-            // instead of an O(words) popcount over its whole bitset.
-            if (free_blocks(mem, slab) == blocks_of(cls)) {
+            // Emptiness via the free counter: one load of word 1 per
+            // candidate instead of a popcount over its whole bitset.
+            Word1 w1 = word1(mem, slab);
+            if (w1.free == blocks_of(cls)) {
                 CXL_PARANOID_ASSERT(
                     bitset_count(mem, slab, cls) == blocks_of(cls),
                     "free-block counter diverged from bitset");
@@ -528,8 +453,7 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
                                               .aux = 0,
                                               .version = ts.version,
                                               .index = slab});
-                remove_sized(mem, cls, slab);
-                set_class_biased(mem, slab, 0);
+                remove_sized(mem, cls, raw, w1.prev);
                 push_unsized(mem, slab);
                 if (inst_.registry != nullptr) {
                     inst_.registry->shard(mem.tid()).add(inst_.scavenges);
@@ -542,27 +466,30 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
 }
 
 void
-SlabHeap::init_from_unsized(pod::ThreadContext& ctx, std::uint32_t slab,
-                            std::uint32_t cls)
+SlabHeap::init_from_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                            std::uint32_t headraw, std::uint32_t cls)
 {
     cxl::MemSession& mem = ctx.mem();
+    std::uint32_t slab = headraw - 1;
     log_->log(mem, OpRecord{.op = Op::Init,
                             .large_heap = large_,
                             .aux = static_cast<std::uint16_t>(cls),
                             .version = 0, // no CAS in this transition
                             .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    std::uint32_t popped = pop_unsized(mem);
-    CXL_ASSERT(popped == slab, "unsized head changed underfoot");
+    pop_unsized(mem, headraw);
     ctx.maybe_crash(crashpoint::kMidInit);
-    set_owner(mem, slab, mem.tid());
-    set_class_biased(mem, slab, static_cast<std::uint8_t>(cls + 1));
     bitset_fill(mem, slab, cls);
     // Reset the remote-free down-counter to the block count. A plain store
     // suffices: the slab is unlinked and no other thread can reference it.
     mem.atomic_store64(hwcc(slab), DcasWord::pack(blocks_of(cls), 0, 0));
     ctx.maybe_crash(crashpoint::kMidInit);
-    push_sized(mem, cls, slab);
+    // Owner and class ride push_sized's word-0 store.
+    push_sized(mem, slab,
+               Word0{.owner = mem.tid(),
+                     .cls = static_cast<std::uint8_t>(cls + 1),
+                     .state = SlabState::TlUnsized});
+    ts.may_own[large_].set(slab);
 }
 
 bool
@@ -591,7 +518,7 @@ SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
         auto r = dcas_->try_cas_from(mem, free_word_, word, next, ver);
         if (r.success) {
             ctx.maybe_crash(crashpoint::kAfterDcas);
-            acquire_to_unsized(ctx, slab);
+            acquire_to_unsized(ctx, ts, slab);
             return true;
         }
         word = r.observed;
@@ -623,7 +550,7 @@ SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
             // the HWcc word lives in the eagerly-mapped sync region). Other
             // processes install theirs lazily via the fault handler.
             install_slab_mappings(ctx, slab);
-            acquire_to_unsized(ctx, slab);
+            acquire_to_unsized(ctx, ts, slab);
             return true;
         }
         word = r.observed;
@@ -648,53 +575,64 @@ SlabHeap::desc_mapping(std::uint32_t slab) const
 }
 
 void
-SlabHeap::acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab)
+SlabHeap::acquire_to_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                             std::uint32_t slab)
 {
-    cxl::MemSession& mem = ctx.mem();
     // Back the slab again in case it was decommitted on the global list.
     ctx.process().pod().device().note_committed(slab_data(slab), slab_size_);
-    set_owner(mem, slab, mem.tid());
-    set_class_biased(mem, slab, 0);
-    push_unsized(mem, slab);
+    push_unsized(ctx.mem(), slab);
+    ts.may_own[large_].set(slab);
 }
 
 void
 SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
-                          std::uint32_t cls)
+                          std::uint32_t cls, std::uint32_t prev)
 {
     cxl::MemSession& mem = ctx.mem();
     std::uint32_t remote = dcas_->read(mem, hwcc(slab));
-    if (remote == blocks_of(cls)) {
-        // No remote frees yet: keep ownership but unlink (detached state).
-        // A later local free will relink it to the sized list.
-        // Deferred: flush_desc below folds the record into its fence.
-        log_->log_local(mem, OpRecord{.op = Op::Detach,
-                                      .large_heap = large_,
-                                      .aux = static_cast<std::uint16_t>(cls),
-                                      .version = 0,
-                                      .index = slab});
-        ctx.maybe_crash(crashpoint::kAfterRecord);
-        remove_sized(mem, cls, slab);
-        set_state(mem, slab, SlabState::Detached);
-        ctx.maybe_crash(crashpoint::kMidDetach);
-        // Ownership may change later (steal at counter zero): flush so no
-        // dirty line of ours can clobber the stealer's writes.
-        flush_desc(mem, slab);
-    } else {
-        // Mixed local/remote frees: give the slab up so every future free
-        // takes the remote path and the whole slab is eventually stolen.
-        log_->log_local(mem, OpRecord{.op = Op::Disown,
-                                      .large_heap = large_,
-                                      .aux = static_cast<std::uint16_t>(cls),
-                                      .version = 0,
-                                      .index = slab});
-        ctx.maybe_crash(crashpoint::kAfterRecord);
-        remove_sized(mem, cls, slab);
-        set_owner(mem, slab, cxl::kNoThread);
-        set_state(mem, slab, SlabState::Disowned);
-        ctx.maybe_crash(crashpoint::kMidDetach);
-        flush_desc(mem, slab);
+    // No remote frees yet: keep ownership but unlink (detached state); a
+    // later local free relinks it to the sized list. Mixed local/remote
+    // frees: give the slab up so every future free takes the remote path
+    // and the whole slab is eventually stolen.
+    bool detach = remote == blocks_of(cls);
+    // Deferred: flush_desc below folds the record into its fence.
+    log_->log_local(mem, OpRecord{.op = detach ? Op::Detach : Op::Disown,
+                                  .large_heap = large_,
+                                  .aux = static_cast<std::uint16_t>(cls),
+                                  .version = 0,
+                                  .index = slab});
+    ctx.maybe_crash(crashpoint::kAfterRecord);
+    Word0 w = word0(mem, slab);
+    remove_sized(mem, cls, w.next, prev);
+    set_word0(mem, slab,
+              Word0{.next = 0,
+                    .owner = detach ? w.owner : cxl::kNoThread,
+                    .cls = w.cls,
+                    .state = detach ? SlabState::Detached
+                                    : SlabState::Disowned});
+    ctx.maybe_crash(crashpoint::kMidDetach);
+    // Ownership may change later (steal at counter zero): flush so no
+    // dirty line of ours can clobber the stealer's writes.
+    flush_desc(mem, slab);
+}
+
+bool
+SlabHeap::owns(cxl::MemSession& mem, ThreadState& ts, std::uint32_t slab,
+               Word0* w)
+{
+    MayOwnFilter& mine = ts.may_own[large_];
+    if (!mine.test(slab)) {
+        return false;
     }
+    // The owner field may be read from our (possibly stale) cache without
+    // flushing — the paper's §3.2.2 case analysis shows every outcome of a
+    // stale read is safe.
+    *w = word0(mem, slab);
+    if (w->owner == mem.tid()) {
+        return true;
+    }
+    mine.clear(slab);
+    return false;
 }
 
 bool
@@ -705,16 +643,12 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
     CXL_ASSERT(contains(offset), "free of non-heap offset");
     auto slab = static_cast<std::uint32_t>((offset - data_base_) /
                                            slab_size_);
-    // The owner field may be read from our (possibly stale) cache without
-    // flushing — the paper's §3.2.2 case analysis shows every outcome of a
-    // stale read is safe.
-    cxl::ThreadId who = owner(mem, slab);
-    if (who == mem.tid()) {
-        std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "freeing into classless slab");
+    Word0 w;
+    if (owns(mem, ts, slab, &w)) {
+        CXL_ASSERT(w.cls != 0, "freeing into classless slab");
         auto block = static_cast<std::uint32_t>(
-            (offset - slab_data(slab)) / class_size_impl(large_, cls - 1));
-        free_local(ctx, ts, slab, block);
+            (offset - slab_data(slab)) / class_size_impl(large_, w.cls - 1));
+        free_local(ctx, ts, slab, block, w);
         return false;
     }
     free_remote(ctx, ts, slab);
@@ -729,9 +663,10 @@ SlabHeap::stage_free(cxl::MemSession& mem, ThreadState& ts,
     CXL_ASSERT(contains(offset), "free of non-heap offset");
     auto slab = static_cast<std::uint32_t>((offset - data_base_) /
                                            slab_size_);
-    // Re-read every round: a steal in an earlier round's serial drain may
-    // have made the slab local.
-    if (owner(mem, slab) == mem.tid()) {
+    // Asked again every round: a steal in an earlier round's serial drain
+    // may have made the slab local (and set its filter bit).
+    Word0 w;
+    if (owns(mem, ts, slab, &w)) {
         return Stage::Serial;
     }
     for (std::uint32_t k = 0; k < n; k++) {
@@ -768,35 +703,40 @@ SlabHeap::redo_decrement(pod::ThreadContext& ctx, ThreadState& ts,
 
 void
 SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
-                     std::uint32_t slab, std::uint32_t block)
+                     std::uint32_t slab, std::uint32_t block, const Word0& w)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t cls = class_biased(mem, slab) - 1;
-    CXL_ASSERT(!bitset_test(mem, slab, block), "double free (local)");
+    std::uint32_t cls = w.cls - 1;
+    cxl::HeapOffset at = bit_word(slab, block);
+    std::uint64_t word = mem.load<std::uint64_t>(at);
+    std::uint64_t mask = std::uint64_t{1} << (block % 64);
+    CXL_ASSERT((word & mask) == 0, "double free (local)");
     log_->log_local(mem, OpRecord{.op = Op::FreeLocal,
                                   .large_heap = large_,
                                   .aux = static_cast<std::uint16_t>(block),
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    SlabState st = state(mem, slab);
-    CXL_ASSERT(st == SlabState::TlSized || st == SlabState::Detached,
+    CXL_ASSERT(w.state == SlabState::TlSized || w.state == SlabState::Detached,
                "local free into slab in unexpected state");
-    std::uint32_t free = bitset_set(mem, slab, block);
+    Word1 w1 = word1(mem, slab);
+    mem.store<std::uint64_t>(at, word | mask);
+    std::uint32_t free = w1.free + 1u;
+    // Keep the scan hint conservative: no set bit below word `hint`.
+    set_hint_free(mem, slab, std::min<std::uint32_t>(w1.hint, block / 64),
+                  free);
     ctx.maybe_crash(crashpoint::kMidFreeLocal);
     CXL_PARANOID_ASSERT(free == bitset_count(mem, slab, cls),
                         "free-block counter diverged from bitset");
-    if (st == SlabState::Detached) {
+    if (w.state == SlabState::Detached) {
         // Previously full: relink so it can serve allocations again.
-        push_sized(mem, cls, slab);
-    } else if (free == blocks_of(cls) &&
-               (next_raw(mem, slab) != 0 || prev_raw(mem, slab) != 0)) {
+        push_sized(mem, slab, w);
+    } else if (free == blocks_of(cls) && (w.next != 0 || w1.prev != 0)) {
         // Slab is now completely empty and the class has other slabs:
         // recycle it as unsized. (Keeping the last slab warm avoids
         // re-initializing it on every alloc/free alternation.)
-        remove_sized(mem, cls, slab);
-        set_class_biased(mem, slab, 0);
-        push_unsized(mem, slab);
+        remove_sized(mem, cls, w.next, w1.prev);
+        push_unsized(mem, slab); // drops the class
         trim_unsized(ctx, ts);
     }
 }
@@ -827,7 +767,7 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
             // disowned and unlinked, so stealing needs no coordination
             // with the previous owner (paper §3.2.1).
             ctx.maybe_crash(crashpoint::kMidSteal);
-            acquire_to_unsized(ctx, slab);
+            acquire_to_unsized(ctx, ts, slab);
             trim_unsized(ctx, ts);
         }
         return;
@@ -848,10 +788,8 @@ void
 SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t slab = pop_unsized(mem);
-    set_owner(mem, slab, cxl::kNoThread);
-    set_class_biased(mem, slab, 0);
-    set_state(mem, slab, SlabState::Global);
+    std::uint32_t slab = pop_unsized(
+        mem, mem.load<std::uint32_t>(unsized_head_off(mem.tid())));
     // MADV_REMOVE analog (paper §3.3.1): heap extension is monotonic — the
     // mapping stays — but an empty slab's backing memory returns to the
     // device while it sits on the global free list.
@@ -859,8 +797,12 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
                                                   slab_size_);
     std::uint64_t word = mem.atomic_load64(free_word_);
     while (true) {
-        std::uint32_t headraw = DcasWord::value(word);
-        set_next_raw(mem, slab, headraw);
+        // Unowned, classless, Global, linked: one word-0 store per attempt.
+        set_word0(mem, slab,
+                  Word0{.next = DcasWord::value(word),
+                        .owner = cxl::kNoThread,
+                        .cls = 0,
+                        .state = SlabState::Global});
         std::uint16_t ver = ts.next_version();
         // Record + descriptor coalesce into flush_desc's single flush +
         // fence (the record's flush_pending rides the same fence); on a
@@ -934,17 +876,21 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         // never saw the pointer, so completing the clear only costs one
         // block (recoverable by the application's own log, paper Table 1
         // "App" strategy).
-        std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "Alloc record against classless slab");
-        bitset_clear(mem, slab, record.aux);
-        mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
+        Word0 w = word0(mem, slab);
+        CXL_ASSERT(w.cls != 0, "Alloc record against classless slab");
+        cxl::HeapOffset at = bit_word(slab, record.aux);
+        std::uint64_t word = mem.load<std::uint64_t>(at);
+        std::uint64_t mask = std::uint64_t{1} << (record.aux % 64);
+        if ((word & mask) != 0) {
+            mem.store<std::uint64_t>(at, word & ~mask);
+        }
         // A crash (especially Host severity) can surface a counter line
         // and bitset lines from different points in time: the bitset is
         // the durable truth, so rebuild the counter from it.
-        std::uint32_t live = bitset_count(mem, slab, cls - 1);
-        set_free_blocks(mem, slab, live);
-        if (live == 0 && state(mem, slab) == SlabState::TlSized) {
-            full_transition(ctx, slab, cls - 1);
+        std::uint32_t live = bitset_count(mem, slab, w.cls - 1);
+        set_hint_free(mem, slab, 0, live);
+        if (live == 0 && w.state == SlabState::TlSized) {
+            full_transition(ctx, slab, w.cls - 1, word1(mem, slab).prev);
         }
         break;
       }
@@ -954,88 +900,106 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             unsized_head_off(mem.tid()));
         if (uh == slab + 1) {
             // Nothing visible happened: rerun the transition.
-            init_from_unsized(ctx, slab, cls);
+            init_from_unsized(ctx, ts, uh, cls);
             break;
         }
-        // push_sized stores the list head before the state: a head naming
-        // the slab means the push completed but for its last store.
-        if (class_biased(mem, slab) == cls + 1 &&
-            (state(mem, slab) == SlabState::TlSized ||
+        // push_sized stores class and link, then the list head, then the
+        // state: a head naming the slab means the push completed but for
+        // its last store.
+        Word0 w = word0(mem, slab);
+        if (w.cls == cls + 1 &&
+            (w.state == SlabState::TlSized ||
              mem.load<std::uint32_t>(sized_head_off(mem.tid(), cls)) ==
                  slab + 1)) {
             // Completed; resync the counter with whatever bitset lines
             // proved durable.
             set_state(mem, slab, SlabState::TlSized);
-            set_free_blocks(mem, slab, bitset_count(mem, slab, cls));
+            set_hint_free(mem, slab, 0, bitset_count(mem, slab, cls));
             break;
         }
         // Popped but not (fully) initialized: since this record is the
         // thread's last operation, no allocation has happened — refilling
         // the bitset is safe.
-        set_owner(mem, slab, mem.tid());
-        set_class_biased(mem, slab, static_cast<std::uint8_t>(cls + 1));
         bitset_fill(mem, slab, cls);
         mem.atomic_store64(hwcc(slab), DcasWord::pack(blocks_of(cls), 0, 0));
-        push_sized(mem, cls, slab);
+        push_sized(mem, slab,
+                   Word0{.owner = mem.tid(),
+                         .cls = static_cast<std::uint8_t>(cls + 1),
+                         .state = w.state});
+        ts.may_own[large_].set(slab);
         break;
       }
-      case Op::PopGlobal: {
-        if (!dcas_->did_succeed(mem, free_word_, record.version)) {
+      case Op::PopGlobal:
+      case Op::Extend: {
+        cxl::HeapOffset word =
+            record.op == Op::PopGlobal ? free_word_ : len_word_;
+        if (!dcas_->did_succeed(mem, word, record.version)) {
             break; // CAS never took effect; the allocation was abandoned
         }
+        if (record.op == Op::Extend) {
+            install_slab_mappings(ctx, slab);
+        }
         if (!on_unsized_list(mem, slab)) {
-            acquire_to_unsized(ctx, slab);
+            acquire_to_unsized(ctx, ts, slab);
         }
         break;
       }
-      case Op::Extend: {
-        if (!dcas_->did_succeed(mem, len_word_, record.version)) {
-            break;
-        }
-        install_slab_mappings(ctx, slab);
-        if (!on_unsized_list(mem, slab)) {
-            acquire_to_unsized(ctx, slab);
-        }
-        break;
-      }
-      case Op::Detach: {
-        std::uint32_t cls = record.aux;
-        if (state(mem, slab) != SlabState::Detached) {
-            remove_sized(mem, cls, slab);
-            set_state(mem, slab, SlabState::Detached);
-        }
-        flush_desc(mem, slab);
-        break;
-      }
+      case Op::Detach:
       case Op::Disown: {
-        std::uint32_t cls = record.aux;
-        // No steal can have happened yet (the last block allocated from
-        // this slab never escaped the crashed allocate call), so the slab
-        // is still ours to repair.
-        if (state(mem, slab) == SlabState::TlSized) {
-            remove_sized(mem, cls, slab);
+        // Unfinished iff the slab is still ours and sized. No steal can
+        // have happened before the transition finished (the last block
+        // allocated from this slab never escaped the crashed allocate
+        // call); after it, a stale record's slab may be anyone's.
+        Word0 w = word0(mem, slab);
+        if (w.owner == mem.tid() && w.state == SlabState::TlSized) {
+            bool detach = record.op == Op::Detach;
+            remove_sized(mem, record.aux, w.next, word1(mem, slab).prev);
+            set_word0(mem, slab,
+                      Word0{.next = 0,
+                            .owner = detach ? w.owner : cxl::kNoThread,
+                            .cls = w.cls,
+                            .state = detach ? SlabState::Detached
+                                            : SlabState::Disowned});
         }
-        set_owner(mem, slab, cxl::kNoThread);
-        set_state(mem, slab, SlabState::Disowned);
         flush_desc(mem, slab);
         break;
       }
       case Op::FreeLocal: {
-        std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "FreeLocal record against classless slab");
-        bitset_set(mem, slab, record.aux);
-        mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
-        set_free_blocks(mem, slab, bitset_count(mem, slab, cls - 1));
-        SlabState st = state(mem, slab);
-        if (st == SlabState::Detached) {
-            push_sized(mem, cls - 1, slab);
-        } else if (st == SlabState::TlSized &&
-                   free_blocks(mem, slab) == blocks_of(cls - 1) &&
-                   (next_raw(mem, slab) != 0 || prev_raw(mem, slab) != 0)) {
-            remove_sized(mem, cls - 1, slab);
-            set_class_biased(mem, slab, 0);
-            push_unsized(mem, slab);
+        Word0 w = word0(mem, slab);
+        if (w.cls == 0) {
+            // The free emptied the slab: remove_sized had finished and
+            // push_unsized's word-0 store dropped the class. Left to do:
+            // the rest of that push, or undoing a trim's pop_unsized that
+            // took the slab back off before push_global_one logged (its
+            // word-0 store may already read Global). A foreign owner means
+            // a stale record whose slab has moved on.
+            if ((w.owner == mem.tid() || w.owner == cxl::kNoThread) &&
+                !on_unsized_list(mem, slab)) {
+                acquire_to_unsized(ctx, ts, slab);
+            }
             trim_unsized(ctx, ts);
+            break;
+        }
+        std::uint32_t cls = w.cls - 1;
+        cxl::HeapOffset at = bit_word(slab, record.aux);
+        std::uint64_t word = mem.load<std::uint64_t>(at);
+        std::uint64_t mask = std::uint64_t{1} << (record.aux % 64);
+        if ((word & mask) == 0) {
+            mem.store<std::uint64_t>(at, word | mask);
+        }
+        std::uint32_t free = bitset_count(mem, slab, cls);
+        set_hint_free(mem, slab, 0, free);
+        if (w.state == SlabState::Detached) {
+            push_sized(mem, slab, w);
+            break;
+        }
+        if (w.state == SlabState::TlSized && free == blocks_of(cls)) {
+            std::uint32_t prev = word1(mem, slab).prev;
+            if (w.next != 0 || prev != 0) {
+                remove_sized(mem, cls, w.next, prev);
+                push_unsized(mem, slab);
+                trim_unsized(ctx, ts);
+            }
         }
         break;
       }
@@ -1050,12 +1014,14 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         if (DcasWord::tid(word) == mem.tid() &&
             DcasWord::version(word) == record.version &&
             DcasWord::value(word) == 0) {
-            // Our decrement was the last one: we are the stealer.
-            if (!on_unsized_list(mem, slab) &&
-                owner(mem, slab) != mem.tid()) {
-                acquire_to_unsized(ctx, slab);
-                trim_unsized(ctx, ts);
+            // Our decrement was the last one: we are the stealer. Only an
+            // Init or a PushGlobal, each logged, moves the slab off our
+            // unsized list; until then it belongs there (a trim may have
+            // popped it before push_global_one logged).
+            if (!on_unsized_list(mem, slab)) {
+                acquire_to_unsized(ctx, ts, slab);
             }
+            trim_unsized(ctx, ts);
         }
         break;
       }
@@ -1065,12 +1031,13 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         }
         // Slab was popped from our unsized list but never published:
         // finish the push.
-        set_owner(mem, slab, cxl::kNoThread);
-        set_class_biased(mem, slab, 0);
-        set_state(mem, slab, SlabState::Global);
         std::uint64_t word = mem.atomic_load64(free_word_);
         while (true) {
-            set_next_raw(mem, slab, DcasWord::value(word));
+            set_word0(mem, slab,
+                      Word0{.next = DcasWord::value(word),
+                            .owner = cxl::kNoThread,
+                            .cls = 0,
+                            .state = SlabState::Global});
             flush_desc(mem, slab);
             std::uint16_t ver = ts.next_version();
             auto r = dcas_->try_cas_from(mem, free_word_, word, slab + 1, ver);
@@ -1083,6 +1050,40 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       }
       default:
         CXL_PANIC("slab heap asked to recover a non-slab operation");
+    }
+}
+
+void
+SlabHeap::repair_local_lists(cxl::MemSession& mem)
+{
+    cxl::ThreadId tid = mem.tid();
+    // The whole local row in one bulk read: unsized head, sized heads,
+    // unsized count.
+    std::uint32_t row[Layout::kLocalStride / 4];
+    static_assert(sizeof(row) >= 4 * (kNumSmallClasses + 2) &&
+                  sizeof(row) >= 4 * (kNumLargeClasses + 2));
+    mem.read_bytes(local_row(tid), row, sizeof(row));
+    std::uint32_t count = 0;
+    for (std::uint32_t raw = row[0]; raw != 0 && count <= num_slabs_;
+         count++) {
+        raw = next_raw(mem, raw - 1);
+    }
+    CXL_ASSERT(count <= num_slabs_, "unsized list is cyclic");
+    if (row[1 + num_classes_] != count) {
+        mem.store<std::uint32_t>(unsized_count_off(tid), count);
+    }
+    for (std::uint32_t cls = 0; cls < num_classes_; cls++) {
+        std::uint32_t prev = 0;
+        std::uint32_t steps = 0;
+        for (std::uint32_t raw = row[1 + cls];
+             raw != 0 && steps++ <= num_slabs_;) {
+            std::uint32_t slab = raw - 1;
+            if (word1(mem, slab).prev != prev) {
+                set_prev_raw(mem, slab, prev);
+            }
+            prev = raw;
+            raw = next_raw(mem, slab);
+        }
     }
 }
 
@@ -1101,11 +1102,12 @@ SlabHeap::check_global_invariants(cxl::MemSession& mem)
         std::uint32_t slab = raw - 1;
         CXL_ASSERT(slab < len, "global free list references unmapped slab");
         mem.flush(desc(slab), desc_stride_);
-        CXL_ASSERT(owner(mem, slab) == cxl::kNoThread,
+        Word0 w = word0(mem, slab);
+        CXL_ASSERT(w.owner == cxl::kNoThread,
                    "slab on global free list has an owner");
-        CXL_ASSERT(state(mem, slab) == SlabState::Global,
+        CXL_ASSERT(w.state == SlabState::Global,
                    "slab on global free list not in Global state");
-        raw = next_raw(mem, slab);
+        raw = w.next;
     }
 }
 
@@ -1118,11 +1120,11 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
     std::uint32_t count = 0;
     while (raw != 0) {
         CXL_ASSERT(++count <= num_slabs_, "unsized list is cyclic");
-        std::uint32_t slab = raw - 1;
-        CXL_ASSERT(owner(mem, slab) == tid, "unsized slab not owned");
-        CXL_ASSERT(state(mem, slab) == SlabState::TlUnsized,
+        Word0 w = word0(mem, raw - 1);
+        CXL_ASSERT(w.owner == tid, "unsized slab not owned");
+        CXL_ASSERT(w.state == SlabState::TlUnsized,
                    "unsized slab in wrong state");
-        raw = next_raw(mem, slab);
+        raw = w.next;
     }
     CXL_ASSERT(mem.load<std::uint32_t>(unsized_count_off(tid)) == count,
                "unsized count out of sync");
@@ -1134,19 +1136,18 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
         while (raw != 0) {
             CXL_ASSERT(++steps <= num_slabs_, "sized list is cyclic");
             std::uint32_t slab = raw - 1;
-            CXL_ASSERT(owner(mem, slab) == tid, "sized slab not owned");
-            CXL_ASSERT(class_biased(mem, slab) == cls + 1,
-                       "sized slab class mismatch");
-            CXL_ASSERT(state(mem, slab) == SlabState::TlSized,
+            Word0 w = word0(mem, slab);
+            Word1 w1 = word1(mem, slab);
+            CXL_ASSERT(w.owner == tid, "sized slab not owned");
+            CXL_ASSERT(w.cls == cls + 1, "sized slab class mismatch");
+            CXL_ASSERT(w.state == SlabState::TlSized,
                        "sized slab in wrong state");
-            CXL_ASSERT(free_blocks(mem, slab) == bitset_count(mem, slab, cls),
+            CXL_ASSERT(w1.free == bitset_count(mem, slab, cls),
                        "free-block counter diverged from bitset");
-            CXL_ASSERT(free_blocks(mem, slab) != 0,
-                       "sized list contains a full slab");
-            CXL_ASSERT(prev_raw(mem, slab) == prev,
-                       "sized list prev link broken");
+            CXL_ASSERT(w1.free != 0, "sized list contains a full slab");
+            CXL_ASSERT(w1.prev == prev, "sized list prev link broken");
             prev = raw;
-            raw = next_raw(mem, slab);
+            raw = w.next;
         }
     }
 }
@@ -1166,13 +1167,13 @@ SlabHeap::set_metrics(obs::MetricsRegistry* registry)
 std::uint32_t
 SlabHeap::debug_free_blocks(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return free_blocks(mem, slab);
+    return word1(mem, slab).free;
 }
 
 std::uint32_t
 SlabHeap::debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab)
 {
-    std::uint8_t biased = class_biased(mem, slab);
+    std::uint8_t biased = word0(mem, slab).cls;
     CXL_ASSERT(biased != 0, "bitset count of classless slab");
     return bitset_count(mem, slab, biased - 1);
 }
@@ -1180,7 +1181,7 @@ SlabHeap::debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab)
 std::uint8_t
 SlabHeap::debug_class_biased(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return class_biased(mem, slab);
+    return word0(mem, slab).cls;
 }
 
 std::uint32_t
@@ -1192,7 +1193,7 @@ SlabHeap::debug_remote_free(cxl::MemSession& mem, std::uint32_t slab)
 cxl::ThreadId
 SlabHeap::debug_owner(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return owner(mem, slab);
+    return word0(mem, slab).owner;
 }
 
 SlabHeap::Stats

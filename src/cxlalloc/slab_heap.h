@@ -87,6 +87,13 @@ class SlabHeap {
     void recover(pod::ThreadContext& ctx, ThreadState& ts,
                  const OpRecord& record);
 
+    /// Recovery's repair of the adopted thread's own local lists, run
+    /// before the redo: recounts the unsized list into its count word and
+    /// rewrites every sized slab's prev link from the next chain. A kill
+    /// inside a list operation can leave either out of step; both are
+    /// derived data, and the walk covers only slabs the thread holds.
+    void repair_local_lists(cxl::MemSession& mem);
+
     /// Runtime invariant checks (paper §5.1). Global: free list acyclic,
     /// slabs on it unowned. Requires quiescence.
     void check_global_invariants(cxl::MemSession& mem);
@@ -137,24 +144,37 @@ class SlabHeap {
     cxl::ThreadId debug_owner(cxl::MemSession& mem, std::uint32_t slab);
 
   private:
-    // ---- descriptor field access (SWccDesc) ----
+    // ---- descriptor access (SWccDesc) ----
+    // The first 16 bytes are two 8-byte words (DescField), each read with
+    // one load per operation:
+    //   word 0: next u32 | owner u16 | class+1 u8 | state u8
+    //   word 1: hint u16 | free u16 | prev u32
     cxl::HeapOffset desc(std::uint32_t slab) const;
     cxl::HeapOffset hwcc(std::uint32_t slab) const;
 
+    /// Descriptor word 0, decoded.
+    struct Word0 {
+        std::uint32_t next = 0;        ///< list link (OptIndex raw)
+        cxl::ThreadId owner = 0;
+        std::uint8_t cls = 0;          ///< size class + 1; 0 = none
+        SlabState state = SlabState::Unmapped;
+    };
+    /// Descriptor word 1, decoded.
+    struct Word1 {
+        std::uint16_t hint = 0; ///< first possibly-nonempty bitset word
+        std::uint16_t free = 0; ///< free-block counter
+        std::uint32_t prev = 0; ///< sized-list back link (OptIndex raw)
+    };
+    Word0 word0(cxl::MemSession& mem, std::uint32_t slab);
+    void set_word0(cxl::MemSession& mem, std::uint32_t slab, const Word0& w);
+    Word1 word1(cxl::MemSession& mem, std::uint32_t slab);
+    /// One 4-byte store of word 1's hint and free counter.
+    void set_hint_free(cxl::MemSession& mem, std::uint32_t slab,
+                       std::uint32_t hint, std::uint32_t free);
+
     std::uint32_t next_raw(cxl::MemSession& mem, std::uint32_t slab);
-    void set_next_raw(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t raw);
-    std::uint32_t prev_raw(cxl::MemSession& mem, std::uint32_t slab);
     void set_prev_raw(cxl::MemSession& mem, std::uint32_t slab,
                       std::uint32_t raw);
-    cxl::ThreadId owner(cxl::MemSession& mem, std::uint32_t slab);
-    void set_owner(cxl::MemSession& mem, std::uint32_t slab,
-                   cxl::ThreadId tid);
-    /// Size class + 1; 0 = none.
-    std::uint8_t class_biased(cxl::MemSession& mem, std::uint32_t slab);
-    void set_class_biased(cxl::MemSession& mem, std::uint32_t slab,
-                          std::uint8_t biased);
-    SlabState state(cxl::MemSession& mem, std::uint32_t slab);
     void set_state(cxl::MemSession& mem, std::uint32_t slab, SlabState s);
 
     /// Flush + fence the whole descriptor: required before any transition
@@ -163,36 +183,17 @@ class SlabHeap {
 
     // ---- bitset + SWccDesc.free counter ----
     // The owner-maintained free counter shadows the bitset popcount so
-    // full/empty transition checks are one 2-byte load instead of an
-    // O(words) scan. bitset_clear/bitset_set adjust it only when the bit
-    // actually flips (idempotent redo may replay them); crash recovery
-    // recomputes it from the bitset, which stays the durable truth.
+    // full/empty transition checks need no O(words) scan. The hot paths
+    // flip one bit and store hint|free once; crash recovery recomputes the
+    // counter from the bitset, which stays the durable truth.
     std::uint32_t blocks_of(std::uint32_t cls) const;
     std::uint32_t bitset_words(std::uint32_t cls) const;
-    std::uint32_t free_blocks(cxl::MemSession& mem, std::uint32_t slab);
-    void set_free_blocks(cxl::MemSession& mem, std::uint32_t slab,
-                         std::uint32_t count);
+    /// Offset of the bitset word holding @p block's bit.
+    cxl::HeapOffset bit_word(std::uint32_t slab, std::uint32_t block) const;
     void bitset_fill(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t cls);
-    /// First free block, or kNoBlock. Stores the scan hint only when
-    /// @p advance_hint (callers about to clear the returned bit); pure
-    /// peeks must not dirty the SWcc line.
-    std::uint32_t bitset_peek(cxl::MemSession& mem, std::uint32_t slab,
-                              std::uint32_t cls, bool advance_hint);
-    /// Clears (resp. sets) @p block's bit; returns the slab's free-block
-    /// count after the operation. No-op on an already-clear (-set) bit.
-    std::uint32_t bitset_clear(cxl::MemSession& mem, std::uint32_t slab,
-                               std::uint32_t block);
-    bool bitset_test(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t block);
-    std::uint32_t bitset_set(cxl::MemSession& mem, std::uint32_t slab,
-                             std::uint32_t block);
-    bool bitset_none(cxl::MemSession& mem, std::uint32_t slab,
                      std::uint32_t cls);
     std::uint32_t bitset_count(cxl::MemSession& mem, std::uint32_t slab,
                                std::uint32_t cls);
-
-    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
 
     // ---- local list operations (owner-only) ----
     cxl::HeapOffset local_row(cxl::ThreadId tid) const;
@@ -201,29 +202,50 @@ class SlabHeap {
     cxl::HeapOffset unsized_head_off(cxl::ThreadId tid) const;
     cxl::HeapOffset unsized_count_off(cxl::ThreadId tid) const;
 
-    void push_sized(cxl::MemSession& mem, std::uint32_t cls,
-                    std::uint32_t slab);
+    /// Links @p slab at the head of its class's sized list. @p w is the
+    /// slab's word 0 as it should read before the push (owner and class
+    /// set); the state becomes TlSized in the last store. Idempotent on a
+    /// push that stopped before that store.
+    void push_sized(cxl::MemSession& mem, std::uint32_t slab, Word0 w);
+    /// Unlinks the slab whose own links are @p next / @p prev from sized
+    /// list @p cls. Leaves those links in place, so a redo that finds the
+    /// slab still TlSized repeats the same stores.
     void remove_sized(cxl::MemSession& mem, std::uint32_t cls,
-                      std::uint32_t slab);
+                      std::uint32_t next, std::uint32_t prev);
+    /// Links @p slab onto the unsized list as owned, classless, TlUnsized.
     void push_unsized(cxl::MemSession& mem, std::uint32_t slab);
-    /// Pops the unsized head; list must be nonempty.
-    std::uint32_t pop_unsized(cxl::MemSession& mem);
+    /// Pops the unsized head, whose raw value @p headraw the caller loaded.
+    std::uint32_t pop_unsized(cxl::MemSession& mem, std::uint32_t headraw);
     bool on_unsized_list(cxl::MemSession& mem, std::uint32_t slab);
 
     // ---- operations ----
-    bool refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls);
-    void init_from_unsized(pod::ThreadContext& ctx, std::uint32_t slab,
-                           std::uint32_t cls);
+    /// Refills sized list @p cls; returns its new head (raw), or 0 when
+    /// the heap is exhausted.
+    std::uint32_t refill(pod::ThreadContext& ctx, ThreadState& ts,
+                         std::uint32_t cls);
+    /// Moves the unsized head, whose raw value @p headraw the caller
+    /// loaded, to sized list @p cls with a filled bitset.
+    void init_from_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                           std::uint32_t headraw, std::uint32_t cls);
     bool pop_global(pod::ThreadContext& ctx, ThreadState& ts);
     bool extend(pod::ThreadContext& ctx, ThreadState& ts);
+    /// Unlinks the now-full sized slab @p slab (back link @p prev).
     void full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
-                         std::uint32_t cls);
+                         std::uint32_t cls, std::uint32_t prev);
+    /// Frees @p block into the caller's own slab, whose word 0 @p w the
+    /// caller loaded.
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
-                    std::uint32_t slab, std::uint32_t block);
+                    std::uint32_t slab, std::uint32_t block, const Word0& w);
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
                      std::uint32_t slab);
     /// Takes ownership of an unlinked, empty slab onto the unsized list.
-    void acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab);
+    void acquire_to_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                            std::uint32_t slab);
+    /// True when @p ts's thread owns @p slab. Loads word 0 into @p w only
+    /// if the may-own filter allows the slab; a load that shows another
+    /// owner clears the slab's bit.
+    bool owns(cxl::MemSession& mem, ThreadState& ts, std::uint32_t slab,
+              Word0* w);
     /// Moves one slab from TL unsized to the global free list.
     void push_global_one(pod::ThreadContext& ctx, ThreadState& ts);
     /// Enforces the unsized-list length threshold (paper §3.1.1).

@@ -17,6 +17,8 @@ struct RigOptions {
     bool recoverable = true;
     /// Small-heap capacity in 32 KiB slabs (4 MiB of small data).
     std::uint32_t small_slabs = 128;
+    /// Config::unsized_limit: unsized slabs kept before spilling to global.
+    std::uint32_t unsized_limit = 4;
     /// Extra device space past the heap layout (index bucket arrays etc.).
     std::uint64_t extra_device_bytes = 0;
 };
@@ -42,6 +44,7 @@ struct Rig {
         cfg.huge_descs_per_thread = 16;
         cfg.hazard_slots_per_thread = 8;
         cfg.recoverable = opt.recoverable;
+        cfg.unsized_limit = opt.unsized_limit;
         return cfg;
     }
 

@@ -12,6 +12,7 @@
 #include "cxl/cache_model.h"
 #include "cxlalloc/recovery.h"
 #include "fixture.h"
+#include "sched/hook.h"
 
 namespace {
 
@@ -311,6 +312,170 @@ TEST(CrashRecovery, CrashMidStealCompletesSteal)
     verify_consistent(rig, *other);
     rig.pod.release_thread(std::move(owner));
     rig.pod.release_thread(std::move(other));
+}
+
+/// Kills the calling thread just before its @p nth store to @p target, so
+/// that store and everything after it never happen: a crash between two
+/// stores that no crash point separates.
+class KillBeforeStore : public sched::Listener {
+  public:
+    KillBeforeStore(cxl::HeapOffset target, int nth)
+        : target_(target), left_(nth)
+    {
+        sched::t_listener = this;
+    }
+
+    ~KillBeforeStore() override { sched::t_listener = nullptr; }
+
+    void
+    on_event(const sched::Event& e) override
+    {
+        if (e.op == sched::Op::Store && e.addr == target_ && --left_ == 0) {
+            throw ThreadCrashed{-1};
+        }
+    }
+
+  private:
+    cxl::HeapOffset target_;
+    int left_;
+};
+
+/// Runs @p op on @p ctx, killed before its @p nth store to @p target, then
+/// adopts and recovers the slot.
+template <typename F>
+void
+kill_before_store_and_recover(Rig& rig,
+                              std::unique_ptr<pod::ThreadContext>& ctx,
+                              cxl::HeapOffset target, int nth, F&& op)
+{
+    bool killed = false;
+    {
+        KillBeforeStore kill(target, nth);
+        try {
+            op(*ctx);
+        } catch (const ThreadCrashed&) {
+            killed = true;
+        }
+    }
+    ASSERT_TRUE(killed) << "the op never reached the store";
+    cxl::ThreadId tid = ctx->tid();
+    rig.pod.mark_crashed(std::move(ctx));
+    ctx = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*ctx);
+}
+
+constexpr std::uint32_t kPerSlab64 = cxlalloc::kSmallSlabSize / 64;
+
+/// Two and a half slabs of 64 B blocks, then frees of the first slab's
+/// blocks but its last: the next free of blocks[kPerSlab64 - 1] empties the
+/// slab, which recycles to the unsized list (the class has other slabs).
+std::vector<cxl::HeapOffset>
+fill_then_free_all_but_one(Rig& rig, pod::ThreadContext& ctx)
+{
+    std::vector<cxl::HeapOffset> blocks;
+    for (std::uint32_t i = 0; i < kPerSlab64 * 5 / 2; i++) {
+        blocks.push_back(rig.alloc.allocate(ctx, 64));
+    }
+    for (std::uint32_t i = 0; i + 1 < kPerSlab64; i++) {
+        rig.alloc.deallocate(ctx, blocks[i]);
+    }
+    return blocks;
+}
+
+cxl::HeapOffset
+unsized_head_word(Rig& rig, cxl::ThreadId tid)
+{
+    return rig.alloc.layout().small_local(tid);
+}
+
+cxl::HeapOffset
+unsized_count_word(Rig& rig, cxl::ThreadId tid)
+{
+    return rig.alloc.layout().small_local(tid) + 4 +
+           4 * cxlalloc::kNumSmallClasses;
+}
+
+TEST(CrashRecovery, IdleRestartAfterAnEmptyingFreeRecovers)
+{
+    // The thread's last record is the FreeLocal that emptied a slab, long
+    // finished: the slab is classless on the unsized list. Its redo must
+    // confirm the push, not abort on the missing class.
+    Rig rig;
+    auto t = rig.thread();
+    std::vector<cxl::HeapOffset> blocks = fill_then_free_all_but_one(rig, *t);
+    rig.alloc.deallocate(*t, blocks[kPerSlab64 - 1]);
+    cxl::ThreadId tid = t->tid();
+    rig.pod.mark_crashed(std::move(t));
+    t = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t);
+    verify_consistent(rig, *t);
+    for (std::uint32_t i = kPerSlab64; i < blocks.size(); i++) {
+        rig.alloc.deallocate(*t, blocks[i]);
+    }
+    rig.alloc.check_local_invariants(t->mem());
+    rig.pod.release_thread(std::move(t));
+}
+
+TEST(CrashRecovery, KillInsidePushUnsizedFinishesThePush)
+{
+    // Killed before the unsized head store (the slab's word 0 already
+    // reads classless), and before the count store (the head names it).
+    for (bool at_count : {false, true}) {
+        Rig rig;
+        auto t = rig.thread();
+        std::vector<cxl::HeapOffset> blocks =
+            fill_then_free_all_but_one(rig, *t);
+        cxl::ThreadId tid = t->tid();
+        kill_before_store_and_recover(
+            rig, t,
+            at_count ? unsized_count_word(rig, tid)
+                     : unsized_head_word(rig, tid),
+            1, [&](pod::ThreadContext& c) {
+                rig.alloc.deallocate(c, blocks[kPerSlab64 - 1]);
+            });
+        SCOPED_TRACE(at_count ? "killed before the count store"
+                              : "killed before the head store");
+        verify_consistent(rig, *t);
+        rig.pod.release_thread(std::move(t));
+    }
+}
+
+TEST(CrashRecovery, KillInsidePopUnsizedRecountsTheList)
+{
+    {
+        // Init's pop: the head moved, the count did not.
+        Rig rig;
+        auto t = rig.thread();
+        std::vector<cxl::HeapOffset> blocks =
+            fill_then_free_all_but_one(rig, *t);
+        rig.alloc.deallocate(*t, blocks[kPerSlab64 - 1]);
+        cxl::ThreadId tid = t->tid();
+        kill_before_store_and_recover(
+            rig, t, unsized_count_word(rig, tid), 1,
+            [&](pod::ThreadContext& c) { rig.alloc.allocate(c, 128); });
+        verify_consistent(rig, *t);
+        rig.pod.release_thread(std::move(t));
+    }
+    {
+        // A trim's pop, before push_global_one logs: the emptying free's
+        // push_unsized stores the count first, the pop second.
+        cxltest::RigOptions opt;
+        opt.unsized_limit = 0;
+        Rig rig(opt);
+        auto t = rig.thread();
+        std::vector<cxl::HeapOffset> blocks =
+            fill_then_free_all_but_one(rig, *t);
+        cxl::ThreadId tid = t->tid();
+        kill_before_store_and_recover(
+            rig, t, unsized_count_word(rig, tid), 2,
+            [&](pod::ThreadContext& c) {
+                rig.alloc.deallocate(c, blocks[kPerSlab64 - 1]);
+            });
+        verify_consistent(rig, *t);
+        EXPECT_EQ(rig.alloc.stats(t->mem()).small.global_free, 1u)
+            << "the recycled slab finished its trip to the global list";
+        rig.pod.release_thread(std::move(t));
+    }
 }
 
 TEST(CrashRecovery, CrashDuringPushGlobalFinishesPush)
