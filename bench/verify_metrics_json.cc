@@ -14,7 +14,9 @@
 /// Pod-topology runs add pod.* summary gauges (pod.remote_op_ratio,
 /// pod.steal_per_op — see docs/POD_TOPOLOGY.md) to the same gate: a change
 /// that quietly starts routing host-local traffic over cross-host edges, or
-/// stealing where home placement used to suffice, fails the budget.
+/// stealing where home placement used to suffice, fails the budget. Every
+/// budget gauge is a ceiling except the DRAM-tier share
+/// alloc.tier_dram_ratio, which is a floor (budget_bound).
 
 #include <cmath>
 #include <cstdio>
@@ -59,8 +61,11 @@ prefixed_sum(const obs::json::Value& counters, const std::string& prefix)
 constexpr double kBudgetRatio = 1.15;
 constexpr double kBudgetEpsilon = 0.1;
 
-bool
-budget_gauge(const std::string& name)
+/// Which side of its baseline value a budget gauge is held to.
+enum class Bound { None, Ceiling, Floor };
+
+Bound
+budget_bound(const std::string& name)
 {
     auto ends_with = [&](const char* suffix) {
         std::string s(suffix);
@@ -69,33 +74,42 @@ budget_gauge(const std::string& name)
     };
     if (name.rfind("gbench.", 0) == 0) {
         return ends_with(".mem_ops_per_op") || ends_with(".fences_per_op") ||
-               ends_with(".flushed_lines_per_op");
+                       ends_with(".flushed_lines_per_op")
+                   ? Bound::Ceiling
+                   : Bound::None;
     }
     if (name.rfind("pod.", 0) == 0) {
         // Placement-quality gauges: ratios and per-op rates only (the
         // pod.scale.* throughput gauges are informational, not budgeted) —
         // plus the fault storm's exact edge-down op count.
         return ends_with("_ratio") || ends_with("_per_op") ||
-               name == "pod.edge_down_ops";
+                       name == "pod.edge_down_ops"
+                   ? Bound::Ceiling
+                   : Bound::None;
     }
     if (name.rfind("liveness.", 0) == 0 || name.rfind("evac.", 0) == 0) {
         // Fault-storm health gauges (BENCH_fault_storm.json): false-suspect
         // volume and evacuation work per op. A detector change that starts
         // suspecting healthy hosts, or an evacuation that balloons its
         // per-op block traffic, fails the budget.
-        return true;
+        return Bound::Ceiling;
     }
     if (name.rfind("alloc.", 0) == 0) {
-        // Tier-split quality (alloc.tier_dram_ratio): a placement change
-        // that quietly stops using the DRAM tier fails the budget.
-        return ends_with("_ratio");
+        // Tier-split quality (alloc.tier_dram_ratio), held to a FLOOR: a
+        // placement change that quietly stops using the DRAM tier fails
+        // the budget.
+        return ends_with("_ratio") ? Bound::Floor : Bound::None;
     }
     if (name.rfind("migrate.", 0) == 0) {
-        // Migration effectiveness: promotion volume and the per-op
-        // demotion rate of the tiered sweep (BENCH_tiered.json).
-        return true;
+        // Migration volume of the tiered sweep (BENCH_tiered.json), both
+        // held to a CEILING: migrate.promotions and the per-op demotion
+        // rate migrate.demotions_per_op may not grow, so a migrator that
+        // starts churning objects fails. A migrator that stops promoting
+        // is caught by tiered_sweep itself, which exits nonzero unless the
+        // tiered configuration beats pure CXL.
+        return Bound::Ceiling;
     }
-    return false;
+    return Bound::None;
 }
 
 obs::json::Value
@@ -119,7 +133,8 @@ load_json(const char* path)
 }
 
 /// Every budget gauge in @p baseline must be present in @p fresh and no
-/// worse than ratio * baseline + epsilon.
+/// worse than its baseline: at most ratio * baseline + epsilon for a
+/// ceiling, at least baseline / ratio - epsilon for a floor.
 void
 check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
 {
@@ -136,7 +151,8 @@ check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
     }
     std::size_t compared = 0;
     for (const auto& [name, base_value] : base_g->as_object()) {
-        if (!budget_gauge(name)) {
+        Bound bound = budget_bound(name);
+        if (bound == Bound::None) {
             continue;
         }
         const obs::json::Value* now = new_g->find(name);
@@ -147,17 +163,27 @@ check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
         }
         double base = base_value.as_number();
         double cur = now->as_number();
-        double limit = base * kBudgetRatio + kBudgetEpsilon;
         compared++;
-        if (cur > limit) {
+        if (bound == Bound::Ceiling &&
+            cur > base * kBudgetRatio + kBudgetEpsilon) {
             std::fprintf(stderr, "  %s: %.4f exceeds budget %.4f "
                                  "(baseline %.4f)\n",
-                         name.c_str(), cur, limit, base);
+                         name.c_str(), cur,
+                         base * kBudgetRatio + kBudgetEpsilon, base);
             check(false, "per-op budget respected");
+        }
+        if (bound == Bound::Floor &&
+            cur < base / kBudgetRatio - kBudgetEpsilon) {
+            std::fprintf(stderr, "  %s: %.4f below budget floor %.4f "
+                                 "(baseline %.4f)\n",
+                         name.c_str(), cur,
+                         base / kBudgetRatio - kBudgetEpsilon, base);
+            check(false, "budget floor respected");
         }
     }
     check(compared > 0, "budget compared at least one gauge");
-    std::printf("budget: %zu gauge(s) within %.0f%% + %.2f of baseline\n",
+    std::printf("budget: %zu gauge(s) held within %.0f%% + %.2f of "
+                "baseline\n",
                 compared, (kBudgetRatio - 1.0) * 100.0, kBudgetEpsilon);
 }
 

@@ -10,6 +10,7 @@ bool skip_hazard_publish_flush = false;
 bool skip_record_publish_flush = false;
 bool skip_dirty_line_tracking = false;
 bool skip_hazard_row_raise = false;
+bool skip_named_help = false;
 } // namespace defect
 
 const char*
@@ -41,6 +42,8 @@ PointRegistry::PointRegistry()
     add(kSkipHazardRowRaise, PointKind::Defect,
         "defect.skip_hazard_row_raise", "HazardOffsets::try_publish",
         &skip_hazard_row_raise);
+    add(kSkipNamedHelp, PointKind::Defect, "defect.skip_named_help",
+        "DetectableCas::record_help", &skip_named_help);
 }
 
 PointRegistry&

@@ -119,6 +119,13 @@ extern bool skip_dirty_line_tracking;
 inline constexpr PointId kSkipHazardRowRaise = 74;
 extern bool skip_hazard_row_raise;
 
+/// DetectableCas::record_help: skip the help write for every foreign tag,
+/// even one its owner's recovery row still names. Recovery of that owner
+/// then reads a landed CAS as lost and redoes it: a remote free decrements
+/// its slab's counter twice.
+inline constexpr PointId kSkipNamedHelp = 75;
+extern bool skip_named_help;
+
 } // namespace defect
 
 /// Arms one defect point for the enclosing scope. The destructor disarms

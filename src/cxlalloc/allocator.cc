@@ -17,6 +17,13 @@ CxlAllocator::CxlAllocator(pod::Pod& pod, const Config& config)
       huge_(&layout_, &dcas_, &log_)
 {
     register_crash_points();
+    // Under NoHwcc a help write is an mCAS round trip: help only the tags
+    // whose owners' rows still name them (cxlsync::DetectableCas). Under
+    // HWcc a cached CAS costs less than the row refetch that check needs.
+    if (config.recoverable &&
+        pod.device().mode() == cxl::CoherenceMode::NoHwcc) {
+        dcas_.set_rows(&log_);
+    }
     CXL_FATAL_IF(pod.device().size() < layout_.end(),
                  "device too small for heap layout");
     // With a based layout (a pod shard) the sync region is the per-window
@@ -290,6 +297,14 @@ CxlAllocator::free_batch(pod::ThreadContext& ctx,
                 mem.charge(backoff.next_ns());
             } else {
                 backoff.reset();
+            }
+            // The ring is empty again and each touched shard's durable row
+            // names the round's last version there: bound the help lag
+            // the round's staged operands added.
+            for (std::uint32_t d = 0; d < shard_count; d++) {
+                if (rec[d].aux != 0) {
+                    shards[d]->dcas_.bound_lag(mem, rec[d].version);
+                }
             }
         }
         for (std::uint32_t i = 0; i < n_serial; i++) {

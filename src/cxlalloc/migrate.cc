@@ -99,7 +99,7 @@ void
 HotSlabMigrator::write_stage(cxl::MemSession& mem, cxl::HeapOffset row,
                              std::uint64_t word)
 {
-    mem.store<std::uint64_t>(row + RowField::kStage, word);
+    mem.store<std::uint64_t>(row + MigrationRow::kStage, word);
     mem.flush(row, cxlcommon::kCacheLine);
     mem.fence();
 }
@@ -107,11 +107,11 @@ HotSlabMigrator::write_stage(cxl::MemSession& mem, cxl::HeapOffset row,
 void
 HotSlabMigrator::clear_row(cxl::MemSession& mem, cxl::HeapOffset row)
 {
-    mem.store<std::uint64_t>(row + RowField::kStage, 0);
-    mem.store<std::uint64_t>(row + RowField::kCell, 0);
-    mem.store<std::uint64_t>(row + RowField::kOld, 0);
-    mem.store<std::uint64_t>(row + RowField::kNew, 0);
-    mem.store<std::uint64_t>(row + RowField::kVersion, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kStage, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kCell, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kOld, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kNew, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kVersion, 0);
     mem.flush(row, cxlcommon::kCacheLine);
     mem.fence();
 }
@@ -134,7 +134,8 @@ HotSlabMigrator::free_loser(pod::ThreadContext& ctx, cxl::HeapOffset row,
     // stage write re-enters the PREVIOUS stage, which re-derives free_new
     // idempotently and quiesces again.)
     freeing.quiesce_record(ctx);
-    write_stage(mem, row, pack_stage(Stage::Free, target, free_new, size));
+    write_stage(mem, row,
+                MigrationRow::pack_stage(Stage::Free, target, free_new, size));
     ctx.maybe_crash(migratepoint::kMidFree);
     freeing.deallocate(ctx, block);
     clear_row(mem, row);
@@ -158,13 +159,13 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
     // Armed recovery can attribute an Op::Alloc record on the quiesced
     // target shard to this migration and reclaim the leaked block.
     tgt.quiesce_record(ctx);
-    mem.store<std::uint64_t>(row + RowField::kCell, cell);
-    mem.store<std::uint64_t>(row + RowField::kOld, old_off);
-    mem.store<std::uint64_t>(row + RowField::kNew, 0);
-    mem.store<std::uint64_t>(row + RowField::kVersion, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kCell, cell);
+    mem.store<std::uint64_t>(row + MigrationRow::kOld, old_off);
+    mem.store<std::uint64_t>(row + MigrationRow::kNew, 0);
+    mem.store<std::uint64_t>(row + MigrationRow::kVersion, 0);
     write_stage(mem, row,
-                pack_stage(Stage::Armed, target, false,
-                           static_cast<std::uint32_t>(size)));
+                MigrationRow::pack_stage(Stage::Armed, target, false,
+                                         static_cast<std::uint32_t>(size)));
     ctx.maybe_crash(mp::kAfterArm);
 
     cxl::HeapOffset new_off = tgt.allocate(ctx, size);
@@ -176,10 +177,10 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
     }
     ctx.maybe_crash(mp::kAfterAlloc);
 
-    mem.store<std::uint64_t>(row + RowField::kNew, new_off);
+    mem.store<std::uint64_t>(row + MigrationRow::kNew, new_off);
     write_stage(mem, row,
-                pack_stage(Stage::Copied, target, false,
-                           static_cast<std::uint32_t>(size)));
+                MigrationRow::pack_stage(Stage::Copied, target, false,
+                                         static_cast<std::uint32_t>(size)));
 
     // Copy and flush the payload before anything can publish it.
     std::uint8_t buf[kSmallMax];
@@ -194,10 +195,10 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
     // then one detectable-CAS attempt. A racing app update makes the CAS
     // fail, which aborts the migration (the new block is the loser).
     std::uint16_t version = cw.log_cell_publish(ctx);
-    mem.store<std::uint64_t>(row + RowField::kVersion, version);
+    mem.store<std::uint64_t>(row + MigrationRow::kVersion, version);
     write_stage(mem, row,
-                pack_stage(Stage::Publish, target, false,
-                           static_cast<std::uint32_t>(size)));
+                MigrationRow::pack_stage(Stage::Publish, target, false,
+                                         static_cast<std::uint32_t>(size)));
     ctx.maybe_crash(mp::kAfterVersion);
 
     cxlsync::DetectableCas::Result res =
@@ -471,7 +472,8 @@ HotSlabMigrator::recover(pod::ThreadContext& ctx)
     for (cxl::DeviceId d : sweep) {
         cxl::HeapOffset row = heap_.shard(d).layout().recovery_row(ctx.tid());
         mem.flush(row, cxlcommon::kCacheLine);
-        if ((mem.load<std::uint64_t>(row + RowField::kStage) & 0xff) != 0) {
+        if (MigrationRow::stage_of(mem.load<std::uint64_t>(
+                row + MigrationRow::kStage)) != Stage::Idle) {
             CXL_ASSERT(found == heap_.shard_count(),
                        "two in-flight migration records for one thread");
             found = d;
@@ -487,16 +489,16 @@ HotSlabMigrator::recover(pod::ThreadContext& ctx)
 
     CxlAllocator& cw = heap_.shard(found);
     cxl::HeapOffset row = cw.layout().recovery_row(ctx.tid());
-    std::uint64_t word = mem.load<std::uint64_t>(row + RowField::kStage);
-    auto stage = static_cast<Stage>(word & 0xff);
+    std::uint64_t word = mem.load<std::uint64_t>(row + MigrationRow::kStage);
+    Stage stage = MigrationRow::stage_of(word);
     auto target = static_cast<cxl::DeviceId>((word >> 8) & 0xff);
     bool free_new = ((word >> 16) & 0xff) != 0;
     auto size = static_cast<std::uint32_t>(word >> 32);
-    cxl::HeapOffset cell = mem.load<std::uint64_t>(row + RowField::kCell);
-    cxl::HeapOffset old_off = mem.load<std::uint64_t>(row + RowField::kOld);
-    cxl::HeapOffset new_off = mem.load<std::uint64_t>(row + RowField::kNew);
+    cxl::HeapOffset cell = mem.load<std::uint64_t>(row + MigrationRow::kCell);
+    cxl::HeapOffset old_off = mem.load<std::uint64_t>(row + MigrationRow::kOld);
+    cxl::HeapOffset new_off = mem.load<std::uint64_t>(row + MigrationRow::kNew);
     auto v_pub = static_cast<std::uint16_t>(
-        mem.load<std::uint64_t>(row + RowField::kVersion));
+        mem.load<std::uint64_t>(row + MigrationRow::kVersion));
 
     // From Publish on, the dead thread consumed version v_pub on the cell
     // shard. Shard recovery restored the version from the Op::CellPublish
@@ -526,9 +528,10 @@ HotSlabMigrator::recover(pod::ThreadContext& ctx)
         // free_loser must not re-enter Armed (the quiesces below would
         // erase the Op::Alloc evidence) — Copied-stage recovery re-frees
         // the recorded block without consulting the snapshot.
-        mem.store<std::uint64_t>(row + RowField::kNew, leaked);
+        mem.store<std::uint64_t>(row + MigrationRow::kNew, leaked);
         write_stage(mem, row,
-                    pack_stage(Stage::Copied, target, false, size));
+                    MigrationRow::pack_stage(Stage::Copied, target, false,
+                                             size));
         free_loser(ctx, row, target, size, /*free_new=*/true, old_off, leaked);
         break;
     }

@@ -17,7 +17,8 @@
 /// 5-stage migration record kept in the spare bytes of the cell shard's
 /// per-thread recovery row (the allocator's 8-byte operation record uses
 /// byte 0..7 of the 64-byte row; the migration record uses +8..+47, so no
-/// layout change and the whole record shares one flushable line):
+/// layout change and the whole record shares one flushable line; its one
+/// layout is MigrationRow in cxlalloc/recovery.h):
 ///
 ///   Idle -> Armed(cell, old, target)    durable before the target alloc
 ///        -> Copied(+new)                durable before payload copy
@@ -206,34 +207,8 @@ class HotSlabMigrator {
                             cxl::DeviceId target);
 
   private:
-    /// Durable migration-record field offsets within the cell shard's
-    /// recovery row (row + 0..7 is the allocator's OpRecord).
-    struct RowField {
-        static constexpr std::uint64_t kStage = 8; ///< see pack_stage()
-        static constexpr std::uint64_t kCell = 16;
-        static constexpr std::uint64_t kOld = 24;
-        static constexpr std::uint64_t kNew = 32;
-        static constexpr std::uint64_t kVersion = 40;
-    };
-
-    enum class Stage : std::uint8_t {
-        Idle = 0,
-        Armed = 1,
-        Copied = 2,
-        Publish = 3,
-        Free = 4,
-    };
-
-    /// Stage word: [ size:32 | pad:8 | free_new:8 | target:8 | stage:8 ].
-    static std::uint64_t
-    pack_stage(Stage stage, cxl::DeviceId target, bool free_new,
-               std::uint32_t size)
-    {
-        return (static_cast<std::uint64_t>(size) << 32) |
-               (static_cast<std::uint64_t>(free_new) << 16) |
-               (static_cast<std::uint64_t>(target & 0xff) << 8) |
-               static_cast<std::uint64_t>(stage);
-    }
+    /// Stages of the durable migration record (MigrationRow).
+    using Stage = MigrationRow::Stage;
 
     cxl::DeviceId
     pod_device_of_(cxl::HeapOffset offset) const

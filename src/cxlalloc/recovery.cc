@@ -1,6 +1,7 @@
 #include "cxlalloc/recovery.h"
 
 #include "common/assert.h"
+#include "common/cacheline.h"
 #include "common/points.h"
 
 namespace cxlalloc {
@@ -31,6 +32,25 @@ register_crash_points()
         "CxlAllocator::free_batch (shard records logged)");
     add(cp::kMidBatchDrain, "slab.mid_batch_drain",
         "CxlAllocator::free_batch (doorbell rung)");
+}
+
+bool
+RecoveryLog::names(cxl::MemSession& mem, cxl::ThreadId tid,
+                   std::uint16_t version)
+{
+    cxl::HeapOffset row = layout_->recovery_row(tid);
+    mem.flush(row, cxlcommon::kCacheLine); // refetch, like read()
+    std::uint64_t line[MigrationRow::kBytes / 8];
+    mem.read_bytes(row, line, sizeof(line));
+    OpRecord record = OpRecord::unpack(line[0]);
+    if (record.op != Op::None && record.version == version) {
+        return true;
+    }
+    // Between the migrator's quiesce and its Free stage the record is
+    // None, yet Publish-stage recovery still asks about v_pub.
+    return MigrationRow::stage_of(line[MigrationRow::kStage / 8]) ==
+               MigrationRow::Stage::Publish &&
+           line[MigrationRow::kVersion / 8] == version;
 }
 
 const char*

@@ -56,6 +56,7 @@
 #include "common/points.h"
 #include "cxl/mem_ops.h"
 #include "cxlalloc/layout.h"
+#include "sync/detectable_cas.h"
 
 namespace cxlalloc {
 
@@ -106,8 +107,49 @@ struct OpRecord {
     static constexpr std::uint16_t kAuxMask = 0x0fff;
 };
 
-/// Writes and reads per-thread recovery records in the shared heap.
-class RecoveryLog {
+/// The migration record kept in the spare bytes of a recovery row, behind
+/// the 8-byte OpRecord at +0 (see cxlalloc/migrate.h for its stages). One
+/// definition for the migrator that writes it and for the help check
+/// (RecoveryLog::names) that reads its Publish version.
+struct MigrationRow {
+    /// Field offsets within the row; the whole record shares its line.
+    static constexpr std::uint64_t kStage = 8; ///< see pack_stage()
+    static constexpr std::uint64_t kCell = 16;
+    static constexpr std::uint64_t kOld = 24;
+    static constexpr std::uint64_t kNew = 32;
+    static constexpr std::uint64_t kVersion = 40;
+    /// Bytes from the row start through the last field.
+    static constexpr std::uint64_t kBytes = kVersion + 8;
+
+    enum class Stage : std::uint8_t {
+        Idle = 0,
+        Armed = 1,
+        Copied = 2,
+        Publish = 3,
+        Free = 4,
+    };
+
+    /// Stage word: [ size:32 | pad:8 | free_new:8 | target:8 | stage:8 ].
+    static std::uint64_t
+    pack_stage(Stage stage, cxl::DeviceId target, bool free_new,
+               std::uint32_t size)
+    {
+        return (static_cast<std::uint64_t>(size) << 32) |
+               (static_cast<std::uint64_t>(free_new) << 16) |
+               (static_cast<std::uint64_t>(target & 0xff) << 8) |
+               static_cast<std::uint64_t>(stage);
+    }
+
+    static Stage
+    stage_of(std::uint64_t word)
+    {
+        return static_cast<Stage>(word & 0xff);
+    }
+};
+
+/// Writes and reads per-thread recovery records in the shared heap, and
+/// tells the heap's DetectableCas which versions a row still names.
+class RecoveryLog final : public cxlsync::VersionRows {
   public:
     RecoveryLog(const Layout* layout, bool enabled)
         : layout_(layout), enabled_(enabled)
@@ -186,6 +228,13 @@ class RecoveryLog {
         mem.flush(row, 8); // refetch: never act on a stale cached record
         return OpRecord::unpack(mem.load<std::uint64_t>(row));
     }
+
+    /// cxlsync::VersionRows: thread @p tid's row, refetched from the
+    /// device, names @p version while its record carries it or its
+    /// migration record sits in Publish with that version (the two places
+    /// recovery asks did_succeed from).
+    bool names(cxl::MemSession& mem, cxl::ThreadId tid,
+               std::uint16_t version) override;
 
     /// Clears the record after a completed recovery.
     void

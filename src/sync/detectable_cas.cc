@@ -1,6 +1,7 @@
 #include "sync/detectable_cas.h"
 
 #include "common/assert.h"
+#include "common/points.h"
 #include "sched/hook.h"
 
 namespace cxlsync {
@@ -32,6 +33,7 @@ DetectableCas::cas_from(cxl::MemSession& mem, cxl::HeapOffset word_offset,
                         std::uint64_t seen, std::uint32_t desired,
                         std::uint16_t version)
 {
+    bound_lag(mem, version);
     // Before displacing a tagged word, publish the displaced owner's success
     // so its recovery can detect it even after the word moves on.
     record_help(mem, seen, version);
@@ -74,6 +76,60 @@ DetectableCas::did_succeed(cxl::MemSession& mem,
     return version_geq(static_cast<std::uint16_t>(help - 1), version);
 }
 
+bool
+DetectableCas::within_slack(cxl::ThreadId tid, std::uint16_t version) const
+{
+    if (floor_[tid] == 0) {
+        return false;
+    }
+    // Distance from the version help[tid] is known to hold; 0 or "behind"
+    // (a rewound, adopted slot) is never within the slack.
+    auto lag = static_cast<std::uint16_t>(
+        (version - (floor_[tid] - 1)) & kVersionMask);
+    return lag != 0 && lag <= kSelfHelpSlack;
+}
+
+std::uint64_t
+DetectableCas::raise_help(cxl::MemSession& mem, cxl::ThreadId tid,
+                          std::uint16_t version)
+{
+    cxl::HeapOffset entry = help_entry(tid);
+    std::uint64_t biased = static_cast<std::uint64_t>(version) + 1;
+    std::uint64_t current = mem.atomic_load64(entry);
+    while (current == 0 ||
+           !version_geq(static_cast<std::uint16_t>(current - 1), version)) {
+        if (mem.cas64(entry, current, biased)) {
+            return biased;
+        }
+        // current reloaded by cas64 on failure; loop.
+    }
+    return current;
+}
+
+void
+DetectableCas::bound_lag(cxl::MemSession& mem, std::uint16_t named)
+{
+    cxl::ThreadId tid = mem.tid();
+    if (!detectable_ || rows_ == nullptr || within_slack(tid, named)) {
+        return;
+    }
+    // A foreign helper may have raised the entry since the floor was taken.
+    std::uint64_t current = mem.atomic_load64(help_entry(tid));
+    if (current != 0) {
+        floor_[tid] = static_cast<std::uint16_t>(current);
+        if (within_slack(tid, named)) {
+            return;
+        }
+    }
+    // Only a version the durable row names bounds the raise: a recovery
+    // redo's fresh version may sit past the record's own, still-open one.
+    if (!rows_->names(mem, tid, named)) {
+        return;
+    }
+    floor_[tid] = static_cast<std::uint16_t>(
+        raise_help(mem, tid, (named - 1) & kVersionMask));
+}
+
 void
 DetectableCas::record_help(cxl::MemSession& mem, std::uint64_t displaced,
                            std::uint16_t installing)
@@ -83,30 +139,18 @@ DetectableCas::record_help(cxl::MemSession& mem, std::uint64_t displaced,
         return;
     }
     sched::hook(sched::Op::DcasHelp, help_entry(tid), tid);
+    std::uint16_t version = DcasWord::version(displaced);
     bool self = tid == mem.tid();
-    if (self && floor_[tid] != 0) {
-        // Distance from the version help[tid] is known to hold to the one
-        // being installed; 0 or "behind" (a rewound, adopted slot) is
-        // never within the slack.
-        auto lag = static_cast<std::uint16_t>(
-            (installing - (floor_[tid] - 1)) & kVersionMask);
-        if (lag != 0 && lag <= kSelfHelpSlack) {
+    if (self) {
+        if (within_slack(tid, installing)) {
             return; // see the class comment: (tid, v') is never queried
         }
+    } else if (rows_ != nullptr &&
+               (cxlcommon::defect::skip_named_help ||
+                !rows_->names(mem, tid, version))) {
+        return; // the owner's row has moved on: never queried (point 6)
     }
-    cxl::HeapOffset entry = help_entry(tid);
-    std::uint64_t biased =
-        static_cast<std::uint64_t>(DcasWord::version(displaced)) + 1;
-    std::uint64_t current = mem.atomic_load64(entry);
-    while (current == 0 ||
-           !version_geq(static_cast<std::uint16_t>(current - 1),
-                        static_cast<std::uint16_t>(biased - 1))) {
-        if (mem.cas64(entry, current, biased)) {
-            current = biased;
-            break;
-        }
-        // current reloaded by cas64 on failure; loop.
-    }
+    std::uint64_t current = raise_help(mem, tid, version);
     if (self) {
         floor_[tid] = static_cast<std::uint16_t>(current);
     }

@@ -65,17 +65,36 @@ version_geq(std::uint16_t a, std::uint16_t b)
 }
 
 /// How far (in versions) a thread may run ahead of its own help entry by
-/// skipping self-help records; see DetectableCas.
+/// skipping help records; see DetectableCas.
 inline constexpr std::uint16_t kSelfHelpSlack = 256;
+
+/// The durable recovery rows that name a DetectableCas's versions: the
+/// only source of did_succeed queries (see DetectableCas, point 2). The
+/// allocator's RecoveryLog implements it.
+class VersionRows {
+  public:
+    /// Refetches thread @p tid's recovery row from the device (one flush
+    /// and one read of its line) and reports whether it names @p version,
+    /// i.e. whether recovery could still ask did_succeed about it.
+    virtual bool names(cxl::MemSession& mem, cxl::ThreadId tid,
+                       std::uint16_t version) = 0;
+
+  protected:
+    ~VersionRows() = default;
+};
 
 /// Detectable CAS over words in the HWcc (or device-biased) region.
 ///
-/// Self-help elision. A thread that displaces its OWN tag skips the help
-/// record (under NoHwcc each help write is a full mCAS round trip) while
-/// its help entry is known to lag the version it is installing by at most
-/// kSelfHelpSlack. Soundness:
-///  1. A displaced self tag (t, v') belongs to a CAS of t that succeeded;
-///     t is now installing a newer version v.
+/// Help elision. Under NoHwcc each help write is a full mCAS round trip,
+/// so a CAS skips the help record when the displaced tag (t, v') can never
+/// be queried:
+///  - Self: t displaces its OWN tag while its help entry is known to lag
+///    the version it is installing by at most kSelfHelpSlack.
+///  - Foreign (only with rows, see set_rows): t's recovery row, refetched
+///    from the device, no longer names v'.
+/// Soundness:
+///  1. A displaced tag (t, v') belongs to a CAS of t that succeeded; a
+///     self-displacing t is now installing a newer version v.
 ///  2. did_succeed is queried only for the version named by t's CURRENT
 ///     record.
 ///  3. Every caller logs a new record naming v before a CAS with a new
@@ -102,8 +121,20 @@ inline constexpr std::uint16_t kSelfHelpSlack = 256;
 ///  5. Skipping leaves help[t] LOWER than the unelided protocol would, so
 ///     it can only turn a true answer false, which (1-4) rule out — or
 ///     alias: the 15-bit wrap-aware version_geq misreads a help entry
-///     more than 2^14 versions behind as ahead. The slack bounds how far
-///     help[t] can fall behind t's version through skips, so no alias.
+///     more than 2^14 versions behind as ahead. Self skips and foreign
+///     skips both let help[t] fall behind t's version; the slack bounds
+///     how far (point 7), so no alias.
+///  6. Foreign skips: the record naming v' was made durable (store,
+///     flush, fence) before the CAS that installed (t, v') landed, so the
+///     row on the device names v' or a newer record. Records only move
+///     forward, so once the row has moved on, v' is never asked about
+///     again (2). A row that still names v' gets the help write.
+///  7. The bound: before each serial CAS (and after each batch round,
+///     CxlAllocator::free_batch) t raises its own entry once its floor
+///     lags the version its durable row names by more than the slack
+///     (bound_lag). The raise goes to one below that version, so the
+///     version itself still answers from the word or a later help write.
+///     stage() does not raise: its round's records are not logged yet.
 /// The bound is tracked without reading help[t]: floor_[t] is a host-side
 /// copy (not persisted; 0 = unknown) of a value help[t] once held,
 /// written only by thread t. Help entries only move forward, so it is
@@ -111,8 +142,9 @@ inline constexpr std::uint16_t kSelfHelpSlack = 256;
 /// the slack behind, or ahead of a rewound version counter — the help
 /// entry is loaded and CASed as usual, and the floor refreshed.
 /// Guarded by DetectableCas.SelfDisplacementCosts*, .CasFromLoadedWord*,
-/// .WrapAware*, .ForeignDisplacementAfterSkips*, .FloorStaysALowerBound*
-/// and DeallocateBatchCrash.{RetryRoundSweep,CrossShardRetryRoundSweep}.
+/// .WrapAware*, .ForeignDisplacementAfterSkips*, .FloorStaysALowerBound*,
+/// .ForeignSkip*, NamedHelp.* and
+/// DeallocateBatchCrash.{RetryRoundSweep,CrossShardRetryRoundSweep}.
 class DetectableCas {
   public:
     /// @param help_base  offset of the help array: (kMaxThreads + 1) 64-bit
@@ -177,6 +209,20 @@ class DetectableCas {
 
     bool detectable() const { return detectable_; }
 
+    /// Helps a foreign tag only while its owner's row in @p rows still
+    /// names it, and bounds the caller's own lag (see the class comment).
+    /// The allocator wires its recovery rows under NoHwcc, where a help
+    /// write is an mCAS round trip; a null @p rows (the default) helps
+    /// every foreign tag.
+    void set_rows(VersionRows* rows) { rows_ = rows; }
+
+    /// The wrap bound (class comment, point 7): once the caller's floor
+    /// lags @p named, a version its durable row names, by more than
+    /// kSelfHelpSlack, raises its help entry to named - 1. No-op without
+    /// rows or when the row does not name @p named. Issues a serial mCAS
+    /// under NoHwcc, so the caller's NMP ring must be empty.
+    void bound_lag(cxl::MemSession& mem, std::uint16_t named);
+
     /// Offset of thread @p tid's help entry (version + 1; 0 = none).
     cxl::HeapOffset help_entry(cxl::ThreadId tid) const
     {
@@ -190,9 +236,19 @@ class DetectableCas {
   private:
     /// Before displacing @p displaced with a CAS tagged @p installing,
     /// records that the displaced owner's CAS succeeded — unless the
-    /// owner is the caller and its floor is within kSelfHelpSlack.
+    /// owner is the caller and its floor is within kSelfHelpSlack, or the
+    /// owner's row no longer names the displaced version.
     void record_help(cxl::MemSession& mem, std::uint64_t displaced,
                      std::uint16_t installing);
+
+    /// True when @p tid's floor is known and lags @p version by 1 to
+    /// kSelfHelpSlack versions.
+    bool within_slack(cxl::ThreadId tid, std::uint16_t version) const;
+
+    /// Raises help[@p tid] to at least @p version (a wrap-aware max);
+    /// returns the entry it leaves, in the (version + 1) encoding.
+    std::uint64_t raise_help(cxl::MemSession& mem, cxl::ThreadId tid,
+                             std::uint16_t version);
 
     /// try_cas_from without the DcasTry hook.
     Result cas_from(cxl::MemSession& mem, cxl::HeapOffset word_offset,
@@ -201,6 +257,7 @@ class DetectableCas {
 
     cxl::HeapOffset help_base_;
     bool detectable_;
+    VersionRows* rows_ = nullptr;
     std::array<std::uint16_t, cxl::kMaxThreads + 1> floor_{};
 };
 

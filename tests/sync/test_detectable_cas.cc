@@ -336,6 +336,108 @@ TEST(DetectableCas, FloorStaysALowerBoundAcrossAdoption)
     }
 }
 
+/// Recovery rows for the rig: row t holds (version + 1) of thread t's last
+/// logged operation, 0 for none. log() makes it durable before the CAS, as
+/// the allocator's RecoveryLog::log does.
+class Rows final : public cxlsync::VersionRows {
+  public:
+    static cxl::HeapOffset
+    row(cxl::ThreadId tid)
+    {
+        return (64 << 10) + static_cast<cxl::HeapOffset>(tid) * 64;
+    }
+
+    void
+    log(MemSession& s, std::uint16_t version)
+    {
+        s.store<std::uint64_t>(row(s.tid()), version + 1u);
+        s.flush(row(s.tid()));
+        s.fence();
+    }
+
+    bool
+    names(MemSession& mem, cxl::ThreadId tid, std::uint16_t version) override
+    {
+        refetches++;
+        mem.flush(row(tid));
+        return mem.load<std::uint64_t>(row(tid)) == version + 1u;
+    }
+
+    int refetches = 0;
+};
+
+TEST(DetectableCas, ForeignSkipOfAMovedOnOwnerCostsOneRefetchAndNoHelp)
+{
+    Rig rig(CoherenceMode::NoHwcc);
+    Rows rows;
+    rig.dcas.set_rows(&rows);
+    MemSession s1 = rig.session(1);
+    MemSession s2 = rig.session(2);
+    constexpr cxl::HeapOffset kOther = kWord + 64;
+    // Thread 2's first CAS raises its own entry once (unknown floor).
+    rows.log(s2, 1);
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kOther, 0, 1, 1).success);
+    rows.log(s1, 9);
+    ASSERT_TRUE(rig.dcas.try_cas(s1, kWord, 0, 7, 9).success);
+
+    // Thread 1's row still names 9: the displacement pays the help mCAS.
+    rows.log(s2, 2);
+    int refetches0 = rows.refetches;
+    std::uint64_t mcas0 = s2.counters().mcas_ops;
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kWord, 7, 8, 2).success);
+    EXPECT_EQ(rows.refetches - refetches0, 1);
+    EXPECT_EQ(s2.counters().mcas_ops - mcas0, 2u);
+    EXPECT_EQ(s2.atomic_load64(rig.dcas.help_entry(1)), 10u);
+    EXPECT_TRUE(rig.dcas.did_succeed(s1, kWord, 9));
+
+    // Thread 1 lands version 10, then logs 11: (1, 10) is never asked
+    // about again, so displacing it costs the refetch and no help mCAS.
+    rows.log(s1, 10);
+    ASSERT_TRUE(rig.dcas.try_cas(s1, kWord, 8, 9, 10).success);
+    rows.log(s1, 11);
+    std::uint64_t help1 = s2.atomic_load64(rig.dcas.help_entry(1));
+    rows.log(s2, 3);
+    refetches0 = rows.refetches;
+    mcas0 = s2.counters().mcas_ops;
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kWord, 9, 10, 3).success);
+    EXPECT_EQ(rows.refetches - refetches0, 1);
+    EXPECT_EQ(s2.counters().mcas_ops - mcas0, 1u);
+    EXPECT_EQ(s2.atomic_load64(rig.dcas.help_entry(1)), help1);
+    EXPECT_FALSE(rig.dcas.did_succeed(s1, kWord, 11));
+}
+
+TEST(DetectableCas, WrapAliasStaysFalseAfterALongUndisplacedRun)
+{
+    // Thread 1's tag is displaced once (help[1] = 6). Thread 1 then runs
+    // more than 2^14 versions whose CASes displace no tag (the word is
+    // re-initialized untagged before each), logs one more version and
+    // crashes before its CAS. Left at 6, help[1] would alias:
+    // version_geq(5, 20006) reports the never-landed CAS as landed. The
+    // lag bound keeps raising help[1] behind the logged versions instead.
+    Rig rig(CoherenceMode::NoHwcc);
+    Rows rows;
+    rig.dcas.set_rows(&rows);
+    MemSession s1 = rig.session(1);
+    MemSession s2 = rig.session(2);
+    constexpr cxl::HeapOffset kOther = kWord + 64;
+    std::uint16_t version = 5;
+    rows.log(s1, version);
+    ASSERT_TRUE(rig.dcas.try_cas(s1, kWord, 0, 1, version).success);
+    rows.log(s2, 1);
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kWord, 1, 2, 1).success);
+    ASSERT_EQ(s1.atomic_load64(rig.dcas.help_entry(1)), 6u);
+    for (int i = 0; i < 20000; i++) {
+        version++;
+        rows.log(s1, version);
+        s1.atomic_store64(kOther, 0);
+        ASSERT_TRUE(rig.dcas.try_cas(s1, kOther, 0, 1, version).success);
+    }
+    ASSERT_EQ(version, 20005);
+    rows.log(s1, 20006);
+    EXPECT_FALSE(rig.dcas.did_succeed(s1, kOther, 20006));
+    EXPECT_TRUE(rig.dcas.did_succeed(s1, kOther, 20005));
+}
+
 TEST(DetectableCas, NonrecoverableVariantSkipsHelpRecording)
 {
     Rig rig;

@@ -2,7 +2,7 @@
 # tool exits 0, every line is id<TAB>kind<TAB>name<TAB>site, ids are
 # unique, and each kind has the expected number of points.
 #
-#   cmake -DINSPECT=<cxlalloc_inspect> -DCRASH=27 -DFAULT=5 -DDEFECT=5 \
+#   cmake -DINSPECT=<cxlalloc_inspect> -DCRASH=27 -DFAULT=5 -DDEFECT=6 \
 #         -P check_list_points.cmake
 
 execute_process(COMMAND ${INSPECT} --list-points
